@@ -9,6 +9,8 @@ Times the heaviest E7 scaling cell (n=24, k=8; the ``batchsim`` suite in
   :class:`~repro.batchsim.BatchEngine` (shared canonical plan table,
   invariant-stop memoisation, periodic-orbit fast-forward).
 
+Both paths are pure stdlib; NumPy, when installed, plays no part here.
+
 Both paths produce byte-identical results (asserted here on the move
 aggregates; the full trace contract is certified by
 ``tests/batchsim/test_differential.py``), so the emitted
@@ -132,12 +134,9 @@ def main():
         ),
         "combined": round(safe_rate(per_run_total, batch_total), 2),
     }
-    from repro.batchsim import resolve_backend
-
     document.update(
         {
             "cell": {"n": N, "k": K, "batch": BATCH},
-            "backend": resolve_backend(None),
             "runs_per_sec": {
                 "batched": round(safe_rate(2 * BATCH, batch_total), 1),
                 "per_run": round(safe_rate(2 * BATCH, per_run_total), 1),
@@ -151,8 +150,7 @@ def main():
         handle.write("\n")
     print(
         f"[bench batchsim] speedup: align {speedups['align']}x, "
-        f"clearing {speedups['clearing']}x, combined {speedups['combined']}x "
-        f"(backend: {document['backend']})",
+        f"clearing {speedups['clearing']}x, combined {speedups['combined']}x",
         file=sys.stderr,
     )
     if os.environ.get("BENCH_REQUIRE_SPEEDUP") == "1":

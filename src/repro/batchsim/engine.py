@@ -2,9 +2,8 @@
 
 One :class:`BatchEngine` advances a batch of independent simulations
 ("lanes") of the *same* algorithm on the *same* ring size under the
-*same* scheduler policy.  The batch state is a ``(batch, n)`` occupancy
-matrix held by a pluggable backend (:mod:`repro.batchsim.backends`);
-everything expensive is shared across lanes:
+*same* scheduler policy.  The batch state is one ``array('i')``
+occupancy row per lane; everything expensive is shared across lanes:
 
 * for pure global-rule algorithms, one
   :class:`~repro.simulator.batchplan.GlobalPlanTable` turns every Look
@@ -23,7 +22,7 @@ Byte-identity contract: for every lane ``i``,
 trace produced by ``Simulator(algorithm, initials[i],
 scheduler=scheduler_factory(i), options=options)`` executing the same
 run — the differential suite in ``tests/batchsim/`` enforces this under
-every scheduler on both backends.  The engine may *skip* presentation
+every scheduler.  The engine may *skip* presentation
 RNG draws on the fast path (traces record moves, not draws; pure
 global-rule decisions are presentation-independent), which is exactly
 why the certification is done on serialised traces rather than on RNG
@@ -33,6 +32,7 @@ states.
 from __future__ import annotations
 
 import random
+from array import array
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.configuration import Configuration
@@ -54,7 +54,6 @@ from ..simulator.batchplan import INVALID_TARGET, GlobalPlanTable
 from ..simulator.engine import ConfigurationPool
 from ..simulator.options import EngineOptions
 from ..simulator.trace import MoveRecord, Trace, TraceEvent
-from .backends import make_backend
 
 __all__ = ["BatchEngine", "BatchLane", "BatchLaneView"]
 
@@ -215,9 +214,6 @@ class BatchEngine:
         monitors_factory: optional ``lane_index -> iterable of monitors``;
             monitored lanes materialise move records and configurations
             every step (exact but slower).
-        backend: ``"auto"`` (default), ``"numpy"`` or ``"stdlib"`` —
-            see :mod:`repro.batchsim.backends`.  Execution context only:
-            traces are byte-identical across backends.
         record_events: record per-step events enabling
             :meth:`lane_trace`.  Disable for throughput when only the
             aggregate counters (``total_moves``, ``step_count``,
@@ -232,7 +228,6 @@ class BatchEngine:
         scheduler_factory: Optional[Callable[[int], Scheduler]] = None,
         options: Optional[EngineOptions] = None,
         monitors_factory: Optional[Callable[[int], Iterable]] = None,
-        backend: Optional[str] = None,
         record_events: bool = True,
     ) -> None:
         if not initials:
@@ -267,7 +262,6 @@ class BatchEngine:
         #: counts-row bytes -> plain counts tuple (shared across lanes).
         self._tuples: Dict[bytes, Tuple[int, ...]] = {}
 
-        self._backend = make_backend(backend, [c.counts for c in initials])
         self._lanes: List[BatchLane] = []
         for index, configuration in enumerate(initials):
             if self._exclusive and not configuration.is_exclusive:
@@ -285,8 +279,9 @@ class BatchEngine:
             lane.scheduler.reset()
             lane.driver = self._select_driver(lane.scheduler)
             lane.all_robots = tuple(range(len(positions)))
-            lane.row = self._backend.row(index)
             counts = configuration.counts
+            # The lane's mutable counts row; ``row.tobytes()`` is its key.
+            lane.row = array("i", counts)
             lane.counts_tuple = counts
             lane.key = lane.row.tobytes()
             self._tuples.setdefault(lane.key, counts)
@@ -339,11 +334,6 @@ class BatchEngine:
         """Number of lanes in the batch."""
         return len(self._lanes)
 
-    @property
-    def backend_name(self) -> str:
-        """Name of the occupancy-matrix backend in use."""
-        return self._backend.name
-
     def lane(self, index: int) -> BatchLane:
         """The per-lane state record (treat as read-only)."""
         return self._lanes[index]
@@ -353,14 +343,10 @@ class BatchEngine:
         return self._lanes[index].view
 
     def packed_states(self) -> List[int]:
-        """Every lane's occupancy vector packed through the shared codec.
-
-        Uses :meth:`PackedSequenceCodec.place_values` digit weights —
-        one vectorised matrix product on the NumPy backend.
-        """
+        """Every lane's occupancy vector packed through the shared codec."""
         max_count = max(max(lane.counts_tuple) for lane in self._lanes)
         codec = packed_codec(self._n, max(1, max_count))
-        return self._backend.pack_all(codec)
+        return codec.pack_many(lane.row for lane in self._lanes)
 
     def lane_trace(self, index: int) -> Trace:
         """Materialise lane ``index``'s full :class:`Trace`.
@@ -467,7 +453,7 @@ class BatchEngine:
     def _plan_for_key(self, key: bytes, lane: BatchLane) -> Dict[int, object]:
         counts = self._tuples.get(key)
         if counts is None:
-            counts = self._backend.counts(lane.index)
+            counts = tuple(lane.row)
             self._tuples[key] = counts
         plan = self._plan_table.plan_for_counts(counts)
         self._plans[key] = plan
@@ -579,7 +565,7 @@ class BatchEngine:
                     counts_tuple = tuples.get(key)
                     if counts_tuple is None:
                         lane.key = key
-                        counts_tuple = self._backend.counts(lane.index)
+                        counts_tuple = tuple(row)
                         tuples[key] = counts_tuple
                     total_moves += 1
                     if exclusive:
@@ -756,7 +742,7 @@ class BatchEngine:
         lane.key = key
         counts = self._tuples.get(key)
         if counts is None:
-            counts = self._backend.counts(lane.index)
+            counts = tuple(row)
             self._tuples[key] = counts
         lane.counts_tuple = counts
         return tuple(moves)

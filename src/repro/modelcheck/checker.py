@@ -41,12 +41,12 @@ asynchronous CORDA adversary.
 canonicalisation is a table-driven min-scan, the searching dynamics are
 interval bitmasks, and the frontier can optionally be sharded across a
 process pool (``shards > 1``) with byte-identical output.  When NumPy is
-importable the default resolves to the array-batched vector backend
+importable the checker uses the array-batched vector backend
 (:mod:`repro.modelcheck.vector`), which processes whole BFS waves as
-int64 arrays; see :mod:`repro.modelcheck.engines` for the resolution
-rules (``REPRO_MODELCHECK_ENGINE``, automatic fallback).  The original
-tuple-state explorer is retained behind ``engine="legacy"`` purely as a
-differential-testing oracle; all engines produce byte-identical verdict
+int64 arrays, and the packed engine otherwise (see
+:mod:`repro.modelcheck.engines`); the choice is not a user option.  The
+original tuple-state explorer is retained behind ``engine="legacy"``
+purely as a differential-testing oracle; all engines produce byte-identical verdict
 documents and witness traces (asserted over the whole E8 quick suite,
 both adversaries, by the three-way equivalence test suite).
 """
@@ -116,9 +116,9 @@ class ModelChecker:
             prefers the NumPy-vectorized backend when NumPy is
             importable, ``vector`` degrades to ``packed`` when it is
             not, and ``legacy`` is the original tuple-state explorer
-            kept as a differential oracle.  The engine is execution
-            context: every engine produces byte-identical results, and
-            the choice never enters specs, run ids or cache keys.
+            kept as a differential oracle.  Every engine produces
+            byte-identical results; only the differential suite and
+            reference generators pass anything but ``auto``.
         shards: packed-engine frontier partitions expanded in parallel
             (``1`` = serial).  Ignored by the legacy engine and by
             custom ``spec`` adapters, whose shard workers could not be

@@ -1,39 +1,27 @@
 """Model-check engine selection: packed, legacy, or NumPy-vectorized.
 
-Mirrors the :mod:`repro.batchsim.backends` convention: the engine is
-**execution context**, like ``--jobs`` or ``--shards`` — it changes how
-fast a verdict is computed, never what the verdict is.  It therefore
-never appears in run specs, run ids, campaign identities or cache keys,
-and every engine produces byte-identical verdict documents (certified by
-the three-way differential suite in
-``tests/modelcheck/test_frontier_equivalence.py``).
+The engine is chosen by the checker, not by its users: every engine
+produces byte-identical verdict documents (certified by the three-way
+differential suite in ``tests/modelcheck/test_frontier_equivalence.py``),
+so it never appears in run specs, run ids, campaign identities, cache
+keys or command-line options.  ``ModelChecker(engine=...)`` accepts an
+explicit name only so the differential suite and reference generators
+can run the ``"legacy"`` oracle or pin one engine.
 
-Resolution order for :func:`resolve_engine`:
-
-1. an explicit engine name (``"packed"``, ``"legacy"``, ``"vector"``);
-2. the ``REPRO_MODELCHECK_ENGINE`` environment variable when the name is
-   ``None`` or ``"auto"``;
-3. ``"vector"`` when NumPy is importable, else ``"packed"``.
-
-One deliberate difference from the batchsim resolver: requesting
-``"vector"`` without NumPy **falls back** to ``"packed"`` instead of
-raising.  The vector engine is a drop-in accelerator for the packed
-engine (identical output), so degrading is always safe; the batchsim
-``"numpy"`` backend, by contrast, is an explicit per-call choice whose
-absence the caller must learn about.
+:func:`resolve_engine` maps ``None``/``"auto"`` to ``"vector"`` when NumPy
+is importable and to ``"packed"`` otherwise.  An explicit ``"vector"``
+request also degrades to ``"packed"`` without NumPy: the vector engine
+is a drop-in accelerator for the packed one, so degrading is always
+safe.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Optional
 
-__all__ = ["ENGINE_ENV_VAR", "ENGINES", "numpy_or_none", "resolve_engine"]
+__all__ = ["ENGINES", "numpy_or_none", "resolve_engine"]
 
-#: Environment override consulted when the engine is ``None``/``"auto"``.
-ENGINE_ENV_VAR = "REPRO_MODELCHECK_ENGINE"
-
-#: Engine names accepted by :func:`resolve_engine` and the CLI.
+#: Engine names accepted by :func:`resolve_engine`.
 ENGINES = ("auto", "packed", "legacy", "vector")
 
 _NUMPY = None
@@ -57,8 +45,8 @@ def resolve_engine(name: Optional[str] = None) -> str:
     """Resolve an engine request to a concrete engine name.
 
     Args:
-        name: ``None``/``"auto"`` (environment, then best available),
-            or one of ``"packed"``, ``"legacy"``, ``"vector"``.
+        name: ``None``/``"auto"`` (best available), or one of
+            ``"packed"``, ``"legacy"``, ``"vector"``.
 
     Returns:
         ``"packed"``, ``"legacy"`` or ``"vector"``.  A ``"vector"``
@@ -66,14 +54,9 @@ def resolve_engine(name: Optional[str] = None) -> str:
         NumPy is absent; the verdict documents are identical either way.
 
     Raises:
-        ValueError: for an unknown engine name (including one read from
-            :data:`ENGINE_ENV_VAR`).
+        ValueError: for an unknown engine name.
     """
-    if name is None:
-        name = "auto"
-    if name == "auto":
-        name = os.environ.get(ENGINE_ENV_VAR) or "auto"
-    if name == "auto":
+    if name is None or name == "auto":
         name = "vector" if numpy_or_none() is not None else "packed"
     if name not in ("packed", "legacy", "vector"):
         raise ValueError(

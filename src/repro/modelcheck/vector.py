@@ -34,10 +34,9 @@ spec, a possible state-cap crossing, reach-task goal absorption — drop
 to the exact serial per-state bookkeeping, so early-exit verdicts,
 notes and statistics match the packed engine to the byte.
 
-The backend is execution context (see :mod:`repro.modelcheck.engines`):
-it is selected by ``ModelChecker(engine=...)`` or
-``REPRO_MODELCHECK_ENGINE`` and never appears in specs, run ids or cache
-keys.  Cells whose packed state exceeds 62 bits (int64 headroom) are
+The checker selects this engine by itself whenever NumPy is importable
+(see :mod:`repro.modelcheck.engines`); it never appears in specs, run
+ids or cache keys.  Cells whose packed state exceeds 62 bits (int64 headroom) are
 declined by :meth:`VectorFrontierExplorer.supports_cell` and explored by
 the packed engine instead.
 """
@@ -114,8 +113,7 @@ def canonical_many(codes, n: int, max_value: int):
         dtype=np.int64,
     )
     images = digits[:, perms]  # (batch, 2n, n)
-    place = np.array(list(codec.place_values), dtype=np.int64)
-    return (images @ place).min(axis=1)
+    return (images @ (1 << shifts)).min(axis=1)
 
 
 def advance_clear_many(n: int, supports, pre):

@@ -148,19 +148,7 @@ def _simulate_job(spec: SimulateSpec) -> Dict[str, object]:
 
 
 def _execute_simulate(
-    spec: SimulateSpec,
-    *,
-    jobs: int,
-    shards: int,
-    store: Optional[Union[str, ResultStore]],
-    progress: Optional[ProgressCallback],
-    cache: Optional[ResultCache],
-    backend: Optional[str],
-    engine: Optional[str],
-    timeout: Optional[float],
-    retry,
-    fault_plan,
-    metrics,
+    spec: SimulateSpec, *, timeout: Optional[float], **_context: object
 ) -> Tuple[Dict[str, object], bool, bool]:
     payload = call_with_deadline(
         _simulate_job, (spec,), timeout=timeout, what="simulate run"
@@ -171,7 +159,7 @@ def _execute_simulate(
 # --------------------------------------------------------------------- #
 # batch sweep
 # --------------------------------------------------------------------- #
-def _batchsweep_job(spec: BatchSweepSpec, backend: Optional[str]) -> Dict[str, object]:
+def _batchsweep_job(spec: BatchSweepSpec) -> Dict[str, object]:
     """Module-level (hence picklable) body of one ``batch_sweep`` run.
 
     Like :func:`_simulate_job`: top-level by design, so the deadline
@@ -186,7 +174,6 @@ def _batchsweep_job(spec: BatchSweepSpec, backend: Optional[str]) -> Dict[str, o
         configurations,
         scheduler_factory=lambda index: make_scheduler(spec.scheduler, spec.seeds[index]),
         options=spec.engine,
-        backend=backend,
     )
     if spec.stop is not None:
         engine.run(
@@ -214,22 +201,10 @@ def _batchsweep_job(spec: BatchSweepSpec, backend: Optional[str]) -> Dict[str, o
 
 
 def _execute_batchsweep(
-    spec: BatchSweepSpec,
-    *,
-    jobs: int,
-    shards: int,
-    store: Optional[Union[str, ResultStore]],
-    progress: Optional[ProgressCallback],
-    cache: Optional[ResultCache],
-    backend: Optional[str],
-    engine: Optional[str],
-    timeout: Optional[float],
-    retry,
-    fault_plan,
-    metrics,
+    spec: BatchSweepSpec, *, timeout: Optional[float], **_context: object
 ) -> Tuple[Dict[str, object], bool, bool]:
     payload = call_with_deadline(
-        _batchsweep_job, (spec, backend), timeout=timeout, what="batch sweep"
+        _batchsweep_job, (spec,), timeout=timeout, what="batch sweep"
     )
     return payload, False, False
 
@@ -245,8 +220,6 @@ def _execute_verify(
     store: Optional[Union[str, ResultStore]],
     progress: Optional[ProgressCallback],
     cache: Optional[ResultCache],
-    backend: Optional[str],
-    engine: Optional[str],
     timeout: Optional[float],
     retry,
     fault_plan,
@@ -259,7 +232,6 @@ def _execute_verify(
         max_states=spec.max_states,
         jobs=jobs,
         shards=shards,
-        engine=engine,
         store=store,
         progress=progress,
         cache=cache,
@@ -321,8 +293,6 @@ def _execute_experiment(
     store: Optional[Union[str, ResultStore]],
     progress: Optional[ProgressCallback],
     cache: Optional[ResultCache],
-    backend: Optional[str],
-    engine: Optional[str],
     timeout: Optional[float],
     retry,
     fault_plan,
@@ -401,8 +371,6 @@ def execute(
     progress: Optional[ProgressCallback] = None,
     cache: Optional[Union[str, ResultCache]] = None,
     refresh: bool = False,
-    backend: Optional[str] = None,
-    engine: Optional[str] = None,
     timeout: Optional[float] = None,
     retry=None,
     fault_plan=None,
@@ -427,17 +395,6 @@ def execute(
         cache: result cache (path or instance).  Serves whole-run hits
             and de-duplicates campaign units; ``None`` disables caching.
         refresh: execute even on a cache hit and overwrite the entry.
-        backend: batched-engine occupancy backend for ``batch_sweep``
-            runs (``"numpy"``, ``"stdlib"`` or ``None``/``"auto"``; see
-            :mod:`repro.batchsim.backends`).  Execution context like
-            ``jobs``: every backend produces byte-identical payloads, so
-            it never enters the spec or the cache key.
-        engine: model-check frontier engine for ``verify`` runs
-            (``"packed"``, ``"legacy"``, ``"vector"`` or
-            ``None``/``"auto"``; see :mod:`repro.modelcheck.engines`).
-            Execution context exactly like ``backend``: every engine
-            produces byte-identical verdict documents, so it never
-            enters the spec, the run id or any cache key.
         timeout: per-unit deadline in seconds for campaign-backed kinds
             (an overrunning worker is *killed*, recorded as
             ``"timeout"``, and retried once in isolation), and a
@@ -488,8 +445,6 @@ def execute(
         store=store,
         progress=progress,
         cache=unit_cache,
-        backend=backend,
-        engine=engine,
         timeout=timeout,
         retry=retry,
         fault_plan=fault_plan,

@@ -110,9 +110,6 @@ class RunService:
         shards: frontier shards per model-checking cell (within-cell
             parallelism; byte-identical results, so not part of any run
             id).
-        engine: model-check frontier engine for verify runs (see
-            :mod:`repro.modelcheck.engines`; byte-identical results, so
-            not part of any run id either).
         max_runs: bound on the in-memory run registry; when exceeded,
             the oldest *settled* (done/error/cancelled) entries are
             dropped.  With a cache attached, dropped ``done`` runs
@@ -146,7 +143,6 @@ class RunService:
         workers: int = 2,
         jobs: int = 1,
         shards: int = 1,
-        engine: Optional[str] = None,
         max_runs: int = 1024,
         run_timeout: Optional[float] = None,
         retry=None,
@@ -173,7 +169,6 @@ class RunService:
             self._cache = as_result_cache(cache)
         self._jobs = jobs
         self._shards = shards
-        self._engine = engine
         self._max_runs = max_runs
         self._run_timeout = run_timeout
         self._retry = retry
@@ -394,17 +389,20 @@ class RunService:
                     "cached": False,
                     "priority": priority,
                 }
+            # Counted before the entry becomes visible.
+            self.metrics.inc(
+                "runs_submitted_total",
+                outcome="cached" if stored is not None else "created",
+            )
             self._runs.pop(run_id, None)  # re-insert at the tail (newest)
             self._runs[run_id] = entry
             self._prune_locked()
         if stored is not None:
-            self.metrics.inc("runs_submitted_total", outcome="cached")
             self.events.publish(
                 run_id, "status", {"run_id": run_id, "status": "done", "cached": True},
                 terminal=True,
             )
             return self._view(run_id, entry), False
-        self.metrics.inc("runs_submitted_total", outcome="created")
         # A re-submitted errored/cancelled run left a *closed* channel
         # behind; drop it so the fresh lifecycle is actually published.
         self.events.reset(run_id)
@@ -468,11 +466,11 @@ class RunService:
                 raise CancelConflict(
                     f"run is {status}: only queued runs can be cancelled"
                 )
+            self.metrics.inc("runs_total", status="cancelled")
+            self.metrics.set_gauge("queue_depth", self._queue.depth)
             entry["status"] = "cancelled"
             view = self._view(run_id, entry)
             self._idle.notify_all()
-        self.metrics.inc("runs_total", status="cancelled")
-        self.metrics.set_gauge("queue_depth", self._queue.depth)
         self.events.publish(
             run_id, "status", {"run_id": run_id, "status": "cancelled"}, terminal=True
         )
@@ -532,6 +530,10 @@ class RunService:
             del self._runs[run_id]
 
     def _settle_error(self, run_id: str, exc: BaseException, retryable: bool) -> None:
+        # Journal and metrics first: a client that sees the run settled
+        # must also find it settled in the journal and counted.
+        self._queue.settle(run_id, "error")
+        self.metrics.inc("runs_total", status="error")
         with self._idle:
             entry = self._runs.get(run_id)
             if entry is not None:
@@ -541,8 +543,6 @@ class RunService:
                     retryable=retryable,
                 )
             self._idle.notify_all()
-        self._queue.settle(run_id, "error")
-        self.metrics.inc("runs_total", status="error")
         self.events.publish(
             run_id, "status",
             {"run_id": run_id, "status": "error", "error": type(exc).__name__},
@@ -588,7 +588,6 @@ class RunService:
                 spec,
                 jobs=self._jobs,
                 shards=self._shards,
-                engine=self._engine,
                 cache=self._cache,
                 timeout=self._run_timeout,
                 retry=self._retry,
@@ -601,7 +600,14 @@ class RunService:
             self.metrics.observe("run_duration_seconds", perf_counter() - started)
             self._settle_error(run_id, exc, retryable=bool(getattr(exc, "retryable", False)))
             return
-        duration = perf_counter() - started
+        self.metrics.observe("run_duration_seconds", perf_counter() - started)
+        # Journal and metrics first, as in _settle_error; the journal
+        # write stays outside the lock.
+        self._queue.settle(run_id, "done")
+        self.metrics.add_gauge("runs_inflight", -1)
+        self.metrics.inc("runs_total", status="done")
+        if not result.cached:
+            self.metrics.inc("runs_executed_total")
         with self._idle:
             entry = self._runs.get(run_id)
             if entry is not None:
@@ -612,12 +618,6 @@ class RunService:
                     retryable=not result.deterministic,
                 )
             self._idle.notify_all()
-        self._queue.settle(run_id, "done")
-        self.metrics.add_gauge("runs_inflight", -1)
-        self.metrics.observe("run_duration_seconds", duration)
-        self.metrics.inc("runs_total", status="done")
-        if not result.cached:
-            self.metrics.inc("runs_executed_total")
         self.events.publish(
             run_id, "status",
             {"run_id": run_id, "status": "done", "cached": result.cached},
@@ -908,7 +908,6 @@ def create_server(
     workers: int = 2,
     jobs: int = 1,
     shards: int = 1,
-    engine: Optional[str] = None,
     run_timeout: Optional[float] = None,
     verbose: bool = False,
     log_json: bool = False,
@@ -921,7 +920,7 @@ def create_server(
     if service is None:
         service = RunService(
             cache=cache, workers=workers, jobs=jobs, shards=shards,
-            engine=engine, run_timeout=run_timeout,
+            run_timeout=run_timeout,
         )
     handler = type(
         "BoundRunRequestHandler",
@@ -941,7 +940,6 @@ def serve(
     workers: int = 2,
     jobs: int = 1,
     shards: int = 1,
-    engine: Optional[str] = None,
     run_timeout: Optional[float] = None,
     drain_grace_s: float = 30.0,
     verbose: bool = False,
@@ -958,7 +956,7 @@ def serve(
     """
     service = RunService(
         cache=cache, workers=workers, jobs=jobs, shards=shards,
-        engine=engine, run_timeout=run_timeout,
+        run_timeout=run_timeout,
     )
     server = create_server(
         host, port, service=service, verbose=verbose, log_json=log_json
@@ -983,7 +981,6 @@ def serve(
     journal = service._queue.journal_path
     print(f"repro serve: listening on http://{bound_host}:{bound_port} "
           f"(workers={workers}, jobs={jobs}, shards={shards}, "
-          f"engine={engine or 'auto'}, "
           f"timeout={run_timeout if run_timeout is not None else 'none'}, "
           f"cache={service.health()['cache'] or 'disabled'}, "
           f"queue={'persistent:' + journal if journal else 'memory'})")

@@ -188,6 +188,33 @@ class TestCliErrorPaths:
             )
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["batch", "align", "12", "5", "--backend", "stdlib"],
+            ["verify", "searching", "--k", "3", "--n", "6", "--engine", "packed"],
+            ["serve", "--engine", "packed"],
+        ],
+        ids=["batch", "verify", "serve"],
+    )
+    def test_engine_and_backend_are_not_options(self, argv, capsys):
+        # The checker picks its engine and the batch engine has one row
+        # storage; neither is a command-line choice.
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["batch", "verify", "serve"])
+    def test_help_lists_no_engine_or_backend(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args([command, "--help"])
+        assert excinfo.value.code == 0
+        usage = capsys.readouterr().out
+        assert "--shards" in usage or "--steps" in usage
+        assert "--engine" not in usage
+        assert "--backend" not in usage
+
     def test_jobs_must_be_positive(self):
         with pytest.raises(SystemExit):
             main(["experiment", "e1", "--jobs", "0"], out=io.StringIO())

@@ -115,16 +115,9 @@ class TestEngineResolution:
         assert engines.resolve_engine("auto") == "vector"
         assert engines.resolve_engine(None) == "vector"
 
-    def test_environment_override(self, monkeypatch):
-        monkeypatch.setenv(engines.ENGINE_ENV_VAR, "packed")
-        assert engines.resolve_engine("auto") == "packed"
-        # An explicit argument beats the environment.
-        assert engines.resolve_engine("vector") == "vector"
-
-    def test_unknown_environment_value_rejected(self, monkeypatch):
-        monkeypatch.setenv(engines.ENGINE_ENV_VAR, "quantum")
-        with pytest.raises(ValueError):
-            engines.resolve_engine("auto")
+    def test_unknown_name_rejected(self):
+        with pytest.raises(ValueError, match="unknown engine"):
+            engines.resolve_engine("quantum")
 
     def test_oversized_cell_falls_back_to_packed(self):
         # searching 6x16 needs 16 counts digits * 3 bits + 16 clear bits

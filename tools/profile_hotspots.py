@@ -7,15 +7,15 @@ a cell, read the hottest frames, decide what to attack next.
 first populates the persistent per-cell caches (expansion plans,
 canonicalization memos, dynamics tables — see
 ``repro.modelcheck.frontier.cell_cache``), then ``--repeat`` further
-runs are profiled.  That isolates the per-run engine mechanics — the
-part the packed/vector engines actually differ in — from the one-time
-cell planning cost that dominates a cold profile.
+runs are profiled.  That isolates the per-run engine mechanics from the
+one-time cell planning cost that dominates a cold profile.  The cell
+runs on the engine the checker picks itself (vector with NumPy, packed
+without); the header line names it.
 
 Examples::
 
     PYTHONPATH=src python tools/profile_hotspots.py searching --k 6 --n 13
-    PYTHONPATH=src python tools/profile_hotspots.py searching --k 7 --n 14 --engine legacy
-    PYTHONPATH=src python tools/profile_hotspots.py searching --k 6 --n 13 --engine vector --frontier
+    PYTHONPATH=src python tools/profile_hotspots.py searching --k 6 --n 13 --frontier
     PYTHONPATH=src python tools/profile_hotspots.py --game --k 3 --n 6 --top 15
 """
 
@@ -28,7 +28,7 @@ import sys
 from time import perf_counter
 
 from repro.analysis.game import searching_game_verdict
-from repro.modelcheck import check_cell
+from repro.modelcheck import check_cell, resolve_engine
 from repro.modelcheck.results import DEFAULT_MAX_STATES
 from repro.modelcheck.tasks import TASKS
 
@@ -48,10 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--n", type=int, required=True, help="ring size")
     parser.add_argument(
         "--adversary", choices=["ssync", "sequential"], default="ssync"
-    )
-    parser.add_argument(
-        "--engine", choices=["auto", "packed", "legacy", "vector"], default="packed",
-        help="exploration engine to profile (default: packed)",
     )
     parser.add_argument(
         "--max-states", type=int, default=DEFAULT_MAX_STATES, metavar="M"
@@ -102,7 +98,6 @@ def main(argv=None) -> int:
                 args.k,
                 adversary=args.adversary,
                 max_states=args.max_states,
-                engine=args.engine,
             )
         if args.frontier:
             check_once()  # unprofiled warm-up populates the cell caches
@@ -112,14 +107,14 @@ def main(argv=None) -> int:
                 return check_once()
             label = (
                 f"{args.task} k={args.k} n={args.n} "
-                f"({args.engine} engine, {args.adversary}, "
+                f"({resolve_engine()} engine, {args.adversary}, "
                 f"warm frontier x{args.repeat})"
             )
         else:
             workload = check_once
             label = (
                 f"{args.task} k={args.k} n={args.n} "
-                f"({args.engine} engine, {args.adversary})"
+                f"({resolve_engine()} engine, {args.adversary})"
             )
 
     profiler = cProfile.Profile()
