@@ -17,23 +17,24 @@ Typical use from an experiment module::
         ...
         return {"row": [...], "passed": True}
 
-    report = run_experiment_campaign("e3", "quick", run_unit, jobs=4)
+    report = run_experiment_campaign("e3", "quick", run_unit, ExecContext(jobs=4))
     for record in report.records:
         ...
 
-and from the command line::
+(:class:`~repro.context.ExecContext` carries every execution knob), and
+from the command line::
 
     repro experiment e7 --jobs 4 --store results/
 """
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional
 
+from ..context import ExecContext
 from .executor import (
     BatchWorker,
     CampaignReport,
-    ProgressCallback,
     Worker,
     execute_batch,
     run_campaign,
@@ -60,46 +61,14 @@ def run_experiment_campaign(
     experiment: str,
     variant: str,
     worker: Worker,
+    ctx: Optional[ExecContext] = None,
     *,
-    jobs: int = 1,
-    store: Optional[Union[str, ResultStore]] = None,
-    progress: Optional[ProgressCallback] = None,
-    cache=None,
     batch_worker: Optional[BatchWorker] = None,
-    timeout: Optional[float] = None,
-    retry=None,
-    fault_plan=None,
-    metrics=None,
 ) -> CampaignReport:
     """Build the campaign for an experiment suite and execute it.
 
-    ``store`` may be a :class:`ResultStore` or a root directory path; in
-    either case the run becomes resumable and writes ``summary.json``.
-    ``cache`` is an optional unit de-duplication cache (see
-    :func:`~repro.campaign.executor.run_campaign`).  ``timeout`` is a
-    per-unit deadline in seconds, ``retry`` a
-    :class:`~repro.faults.RetryPolicy`, and ``fault_plan`` a
-    :class:`~repro.faults.FaultPlan` (chaos-testing context); all three
-    are forwarded to :func:`~repro.campaign.executor.run_campaign`, and
-    a path-given store inherits the fault plan's write-path injection
-    sites.  ``metrics`` is an optional duck-typed metrics sink counting
-    settled units (see :func:`~repro.campaign.executor.run_campaign`).
+    With a store in ``ctx`` the run becomes resumable and writes
+    ``summary.json``; see :func:`~repro.campaign.executor.run_campaign`.
     """
     campaign = build_campaign(experiment, variant)
-    if isinstance(store, str):
-        result_store: Optional[ResultStore] = ResultStore(store, fault_plan=fault_plan)
-    else:
-        result_store = store
-    return run_campaign(
-        campaign,
-        worker,
-        jobs=jobs,
-        store=result_store,
-        progress=progress,
-        cache=cache,
-        batch_worker=batch_worker,
-        timeout=timeout,
-        retry=retry,
-        fault_plan=fault_plan,
-        metrics=metrics,
-    )
+    return run_campaign(campaign, worker, ctx, batch_worker=batch_worker)

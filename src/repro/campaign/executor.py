@@ -16,8 +16,9 @@ guaranteed:
 * **Resumability** — with a result store attached, units whose latest
   stored record is a success are not re-executed.
 
-On top of those, three resilience controls (all execution context —
-none of them changes what a successful record contains):
+On top of those, three resilience controls (fields of the
+:class:`~repro.context.ExecContext` — none of them changes what a
+successful record contains):
 
 * **Per-unit deadlines** (``timeout``) — a watchdog over the process
   pool kills a unit that overruns its deadline (the worker process is
@@ -50,6 +51,7 @@ from dataclasses import dataclass, field
 from time import perf_counter, sleep
 from typing import Callable, Dict, List, Optional, Sequence
 
+from ..context import ExecContext
 from ..faults.deadline import terminate_pool
 from ..faults.plan import FaultyWorker
 from .spec import Campaign, UnitSpec
@@ -277,20 +279,18 @@ class _Collector:
     def __init__(
         self,
         report: CampaignReport,
-        store: Optional[ResultStore],
-        progress: Optional[ProgressCallback],
+        ctx: ExecContext,
         total: int,
-        cache=None,
-        worker_name: Optional[str] = None,
-        metrics=None,
+        cache,
+        worker_name: str,
     ) -> None:
         self._report = report
-        self._store = store
-        self._progress = progress
+        self._store = ctx.store
+        self._progress = ctx.progress
         self._total = total
         self._cache = cache
         self._worker_name = worker_name
-        self._metrics = metrics
+        self._metrics = ctx.metrics
         self._done = len(report.records)
 
     def add(self, record: Dict[str, object]) -> None:
@@ -552,33 +552,23 @@ def _run_parallel_deadline(
 def run_campaign(
     campaign: Campaign,
     worker: Worker,
+    ctx: Optional[ExecContext] = None,
     *,
-    jobs: int = 1,
-    store: Optional[ResultStore] = None,
-    progress: Optional[ProgressCallback] = None,
     chunk_size: Optional[int] = None,
-    cache=None,
     batch_worker: Optional[BatchWorker] = None,
-    timeout: Optional[float] = None,
-    retry=None,
-    fault_plan=None,
-    metrics=None,
 ) -> CampaignReport:
     """Execute every unit of ``campaign`` through ``worker``.
 
     Args:
         campaign: the work grid.
         worker: module-level callable (picklable) run once per unit.
-        jobs: number of worker processes; ``1`` runs in-process.
-        store: optional result store enabling resume and persistence.
-        progress: optional callback invoked after every finished unit.
+        ctx: execution context (default: serial, no store, no cache).
+            A deadline forces pool execution even at ``jobs=1`` so the
+            watchdog can kill an overrun; a deadline or a fault plan
+            disables batch claiming.  Unit cache keys are always those
+            of the unwrapped ``worker``.
         chunk_size: units per process-pool task; defaults to roughly
             four chunks per worker.
-        cache: optional content-addressed unit cache (duck-typed, e.g.
-            :class:`repro.runs.cache.ResultCache`): units whose
-            ``(worker, semantic spec)`` key is already stored are served
-            from it instead of executed — de-duplicating identical units
-            across campaigns — and fresh successes are stored back.
         batch_worker: optional module-level callable claiming a whole
             chunk of units at once (see :data:`BatchWorker`).  Must
             produce exactly the payloads ``worker`` would, so the
@@ -586,41 +576,19 @@ def run_campaign(
             without it; any batch failure falls back to per-unit
             execution (see :func:`execute_batch`).  Unit de-duplication
             still keys on ``worker``'s identity.
-        timeout: per-unit deadline in seconds.  Forces pool execution
-            (even at ``jobs=1``, so the watchdog can *kill* an overrun)
-            and disables batch claiming (a whole-batch kill could not be
-            attributed to one unit).  An overrun unit is terminated,
-            retried once in isolation, and recorded as ``"timeout"``
-            only if it overruns again.
-        retry: optional :class:`~repro.faults.RetryPolicy` (duck-typed):
-            transiently failing units are re-attempted in the worker
-            with deterministic backoff before an error is recorded.
-        fault_plan: optional :class:`~repro.faults.FaultPlan`: wraps the
-            worker with per-unit injection sites (chaos testing).  Pure
-            execution context — unit cache keys stay those of the
-            unwrapped worker, and batch claiming is disabled so every
-            unit passes its injection site.
-        metrics: optional duck-typed metrics sink — any object with an
-            ``inc(name, **labels)`` method (e.g. the HTTP service's
-            :class:`~repro.service.metrics.MetricsRegistry`).  Every
-            settled unit bumps ``campaign_units_total`` labelled by how
-            it settled (``ok``/``error``/``crashed``/``timeout`` for
-            executed units, ``resumed``/``cached`` for units served
-            without executing).  Pure observability: never affects
-            records, summaries or cache keys.
 
     Returns:
         The report with records sorted by grid index.  When a store is
         attached the aggregate ``summary.json`` has been written.
     """
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
-    if timeout is not None and timeout <= 0:
-        raise ValueError("timeout must be > 0 (or None to disable)")
+    ctx = ctx if ctx is not None else ExecContext()
+    jobs, store, cache, timeout, retry, metrics = (
+        ctx.jobs, ctx.store, ctx.cache, ctx.timeout, ctx.retry, ctx.metrics
+    )
     report = CampaignReport(campaign=campaign)
     worker_name = _worker_name(worker)
-    if fault_plan is not None:
-        worker = FaultyWorker(worker, fault_plan)
+    if ctx.fault_plan is not None:
+        worker = FaultyWorker(worker, ctx.fault_plan)
         batch_worker = None
     if timeout is not None:
         batch_worker = None
@@ -676,10 +644,7 @@ def run_campaign(
                 still_pending.append(unit)
         pending = still_pending
 
-    collector = _Collector(
-        report, store, progress, total=campaign.num_units,
-        cache=cache, worker_name=worker_name, metrics=metrics,
-    )
+    collector = _Collector(report, ctx, campaign.num_units, cache, worker_name)
     if timeout is not None and pending:
         # Deadlines require killability, so even jobs=1 runs through a
         # (single-worker) pool the watchdog can terminate.

@@ -32,6 +32,7 @@ from typing import List, Optional, Tuple
 
 from .analysis.enumeration import census
 from .analysis.feasibility import feasibility_table
+from .context import ExecContext
 from .experiments import EXPERIMENTS
 from .faults.errors import DeadlineExceeded
 from .experiments.report import render_table
@@ -188,8 +189,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=_positive_float,
         default=None,
         metavar="SECONDS",
-        help="per-run deadline: a hung run is killed and reported as a "
-        "retryable error instead of occupying a worker forever",
+        help="deadline per campaign unit for verify/experiment runs (an "
+        "overrunning unit is killed and retried once; a second overrun leaves "
+        "a TIMEOUT row in a run that is not cached), per run for simulate/batch "
+        "runs (killed and reported as a retryable error)",
     )
     serve.add_argument("--verbose", action="store_true", help="log every request to stderr")
     serve.add_argument(
@@ -266,7 +269,8 @@ def _add_campaign_arguments(parser: argparse.ArgumentParser) -> None:
         type=_positive_int,
         default=1,
         metavar="N",
-        help="worker processes for the experiment campaign (default: 1, serial)",
+        help="worker processes running campaign units in parallel: experiment "
+        "grid points, or verify cells (default: 1, serial)",
     )
     parser.add_argument(
         "--store",
@@ -345,35 +349,32 @@ def _progress_printer(done: int, total: int, record) -> None:
     )
 
 
-def _run_experiment(
-    name: str, full: bool, out, jobs: int = 1, store=None, progress: bool = False,
-    cache=None, refresh: bool = False, timeout=None,
-) -> int:
+def _exec_context(parser: argparse.ArgumentParser, args, cache: Optional[str]) -> ExecContext:
+    """The execution context of this invocation; bad combinations exit 2."""
+    try:
+        return ExecContext(
+            jobs=getattr(args, "jobs", 1),
+            shards=getattr(args, "shards", 1),
+            store=getattr(args, "store", None),
+            progress=_progress_printer if getattr(args, "progress", False) else None,
+            cache=cache,
+            timeout=getattr(args, "timeout", None),
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
+
+
+def _run_experiment(name: str, full: bool, out, ctx: ExecContext, refresh: bool) -> int:
     spec = ExperimentSpec(name=name, variant="full" if full else "quick")
-    result = execute(
-        spec,
-        jobs=jobs,
-        store=store,
-        progress=_progress_printer if progress else None,
-        cache=cache,
-        refresh=refresh,
-        timeout=timeout,
-    )
+    result = execute(spec, ctx, refresh=refresh)
     print(result.payload["rendered"], file=out)
     return 0 if result.payload["passed"] else 1
 
 
-def _run_all(
-    out, jobs: int = 1, store=None, progress: bool = False, cache=None,
-    refresh: bool = False, timeout=None,
-) -> int:
+def _run_all(out, ctx: ExecContext, refresh: bool) -> int:
     status = 0
     for name in sorted(EXPERIMENTS):
-        if _run_experiment(
-            name, False, out,
-            jobs=jobs, store=store, progress=progress, cache=cache, refresh=refresh,
-            timeout=timeout,
-        ):
+        if _run_experiment(name, False, out, ctx, refresh):
             status = 1
         print("", file=out)
     return status
@@ -397,7 +398,7 @@ def _run_feasibility(max_n: int, task: str, out) -> int:
     return 0
 
 
-def _run_demo(parser, args, out, cache=None) -> int:
+def _run_demo(parser, args, out, ctx: ExecContext) -> int:
     refresh = getattr(args, "refresh", False)
     profile = _DEMO_ALGORITHMS[args.algorithm]
     gathering = profile["gathering"]
@@ -419,7 +420,7 @@ def _run_demo(parser, args, out, cache=None) -> int:
         )
     except ValueError as exc:
         parser.error(str(exc))
-    result = execute(spec, cache=cache, refresh=refresh)
+    result = execute(spec, ctx, refresh=refresh)
     payload = result.payload
     print(f"initial: {payload['initial_art']}", file=out)
     for frame in payload["frames"]:
@@ -431,7 +432,7 @@ def _run_demo(parser, args, out, cache=None) -> int:
     return 0
 
 
-def _run_batch(parser, args, out, cache=None) -> int:
+def _run_batch(parser, args, out, ctx: ExecContext) -> int:
     profile = _DEMO_ALGORITHMS[args.algorithm]
     gathering = profile["gathering"]
     try:
@@ -450,12 +451,7 @@ def _run_batch(parser, args, out, cache=None) -> int:
         )
     except ValueError as exc:
         parser.error(str(exc))
-    result = execute(
-        spec,
-        cache=cache,
-        refresh=getattr(args, "refresh", False),
-        timeout=args.timeout,
-    )
+    result = execute(spec, ctx, refresh=args.refresh)
     payload = result.payload
     rows = []
     for seed, run in zip(payload["seeds"], payload["runs"]):
@@ -480,7 +476,7 @@ def _run_batch(parser, args, out, cache=None) -> int:
     return 0 if payload["passed"] else 1
 
 
-def _run_verify(parser, args, out, cache=None) -> int:
+def _run_verify(parser, args, out, ctx: ExecContext) -> int:
     ks, ns = args.k, args.n
     cells = [(k, n) for n in ns for k in ks if 1 <= k <= n and n >= 3]
     skipped = [(k, n) for n in ns for k in ks if not (1 <= k <= n and n >= 3)]
@@ -496,18 +492,7 @@ def _run_verify(parser, args, out, cache=None) -> int:
         )
     except ValueError as exc:
         parser.error(str(exc))
-    if args.jobs > 1 and args.shards > 1:
-        parser.error("--jobs and --shards cannot both exceed 1")
-    result = execute(
-        spec,
-        jobs=args.jobs,
-        shards=args.shards,
-        store=args.store,
-        progress=_progress_printer if args.progress else None,
-        cache=cache,
-        refresh=getattr(args, "refresh", False),
-        timeout=args.timeout,
-    )
+    result = execute(spec, ctx, refresh=args.refresh)
     payload = result.payload
     header = (
         "task", "k", "n", "algorithm", "adversary", "verdict",
@@ -556,36 +541,28 @@ def _dispatch(parser: argparse.ArgumentParser, args, out) -> int:
         return _run_feasibility(args.max_n, args.task, out)
     cache = _resolve_cache(parser, args)
     _validate_campaign_arguments(parser, args, cache)
+    ctx = _exec_context(parser, args, cache)
     if args.command == "experiment":
-        return _run_experiment(
-            args.name, args.full, out,
-            jobs=args.jobs, store=args.store, progress=args.progress, cache=cache,
-            refresh=args.refresh, timeout=args.timeout,
-        )
+        return _run_experiment(args.name, args.full, out, ctx, args.refresh)
     if args.command == "all":
-        return _run_all(
-            out, jobs=args.jobs, store=args.store, progress=args.progress, cache=cache,
-            refresh=args.refresh, timeout=args.timeout,
-        )
+        return _run_all(out, ctx, args.refresh)
     if args.command == "demo":
-        return _run_demo(parser, args, out, cache=cache)
+        return _run_demo(parser, args, out, ctx)
     if args.command == "batch":
-        return _run_batch(parser, args, out, cache=cache)
+        return _run_batch(parser, args, out, ctx)
     if args.command == "verify":
-        return _run_verify(parser, args, out, cache=cache)
+        return _run_verify(parser, args, out, ctx)
     if args.command == "serve":
         from .service import serve
 
-        if args.jobs > 1 and args.shards > 1:
-            parser.error("--jobs and --shards cannot both exceed 1")
         return serve(
             args.host,
             args.port,
-            cache=cache,
+            cache=ctx.cache,
             workers=args.workers,
-            jobs=args.jobs,
-            shards=args.shards,
-            run_timeout=args.timeout,
+            jobs=ctx.jobs,
+            shards=ctx.shards,
+            run_timeout=ctx.timeout,
             verbose=args.verbose,
             log_json=args.json_logs,
         )

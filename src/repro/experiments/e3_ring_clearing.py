@@ -18,10 +18,12 @@ from __future__ import annotations
 
 import random
 from itertools import islice
+from typing import Optional
 
 from ..algorithms.ring_clearing import RingClearingAlgorithm, ring_clearing_supported
 from ..analysis.metrics import clearing_metrics, summarize
 from ..campaign import run_experiment_campaign
+from ..context import ExecContext
 from ..simulator.engine import Simulator
 from ..tasks import ExplorationMonitor, SearchingMonitor
 from ..workloads.generators import iter_rigid_configurations, random_rigid_configuration
@@ -80,17 +82,7 @@ def run_unit(unit):
     }
 
 
-def run(
-    variant: str = "quick",
-    jobs: int = 1,
-    store=None,
-    progress=None,
-    cache=None,
-    timeout=None,
-    retry=None,
-    fault_plan=None,
-    metrics=None,
-) -> ExperimentResult:
+def run(variant: str = "quick", ctx: Optional[ExecContext] = None) -> ExperimentResult:
     """Run E3 and return its result table."""
     result = ExperimentResult(
         experiment="E3",
@@ -106,11 +98,7 @@ def run(
             "min edge clearings",
         ),
     )
-    report = run_experiment_campaign(
-        "e3", variant, run_unit,
-        jobs=jobs, store=store, progress=progress, cache=cache,
-        timeout=timeout, retry=retry, fault_plan=fault_plan, metrics=metrics,
-    )
+    report = run_experiment_campaign("e3", variant, run_unit, ctx)
     result.apply_campaign_report(report)
     result.add_note(
         "expected shape: every start satisfies both tasks; the cost of the first full clearing "

@@ -8,6 +8,8 @@ phase-2 claim that the three final block-size descriptions cycle.
 
 from __future__ import annotations
 
+from typing import Optional
+
 from ..algorithms.classification import three_empty_structure
 from ..algorithms.nminusthree import (
     NminusThreeAlgorithm,
@@ -15,6 +17,7 @@ from ..algorithms.nminusthree import (
     nminusthree_supported,
 )
 from ..campaign import run_experiment_campaign
+from ..context import ExecContext
 from ..simulator.engine import Simulator
 from ..tasks import ExplorationMonitor, SearchingMonitor
 from ..workloads.generators import rigid_configurations
@@ -61,17 +64,7 @@ def run_unit(unit):
     }
 
 
-def run(
-    variant: str = "quick",
-    jobs: int = 1,
-    store=None,
-    progress=None,
-    cache=None,
-    timeout=None,
-    retry=None,
-    fault_plan=None,
-    metrics=None,
-) -> ExperimentResult:
+def run(variant: str = "quick", ctx: Optional[ExecContext] = None) -> ExperimentResult:
     """Run E4 and return its result table."""
     result = ExperimentResult(
         experiment="E4",
@@ -86,11 +79,7 @@ def run(
             "all-clear events",
         ),
     )
-    report = run_experiment_campaign(
-        "e4", variant, run_unit,
-        jobs=jobs, store=store, progress=progress, cache=cache,
-        timeout=timeout, retry=retry, fault_plan=fault_plan, metrics=metrics,
-    )
+    report = run_experiment_campaign("e4", variant, run_unit, ctx)
     result.apply_campaign_report(report)
     result.add_note("expected shape: all starts pass; the dedicated algorithm covers k = n - 3, which Ring Clearing does not")
     return result

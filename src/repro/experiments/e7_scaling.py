@@ -12,6 +12,7 @@ repository's EXPERIMENTS.md tabulates.
 from __future__ import annotations
 
 import random
+from typing import Optional
 
 from ..algorithms.align import AlignAlgorithm
 from ..algorithms.gathering import GatheringAlgorithm, gathering_supported
@@ -20,6 +21,7 @@ from ..algorithms.ring_clearing import RingClearingAlgorithm, ring_clearing_supp
 from ..analysis.metrics import clearing_metrics, summarize
 from ..batchsim import BatchEngine
 from ..campaign import run_experiment_campaign
+from ..context import ExecContext
 from ..simulator.engine import Simulator
 from ..simulator.runner import run_gathering
 from ..tasks import SearchingMonitor
@@ -179,17 +181,7 @@ def run_units_batched(units):
     return payloads
 
 
-def run(
-    variant: str = "quick",
-    jobs: int = 1,
-    store=None,
-    progress=None,
-    cache=None,
-    timeout=None,
-    retry=None,
-    fault_plan=None,
-    metrics=None,
-) -> ExperimentResult:
+def run(variant: str = "quick", ctx: Optional[ExecContext] = None) -> ExperimentResult:
     """Run E7 and return its result table."""
     result = ExperimentResult(
         experiment="E7",
@@ -205,10 +197,7 @@ def run(
         ),
     )
     report = run_experiment_campaign(
-        "e7", variant, run_unit,
-        jobs=jobs, store=store, progress=progress, cache=cache,
-        batch_worker=run_units_batched,
-        timeout=timeout, retry=retry, fault_plan=fault_plan, metrics=metrics,
+        "e7", variant, run_unit, ctx, batch_worker=run_units_batched
     )
     result.apply_campaign_report(report)
     result.add_note(

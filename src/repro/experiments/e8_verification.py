@@ -20,7 +20,7 @@ universally quantified claims into a machine-checked regression table.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..algorithms.nminusthree import nminusthree_supported
 from ..algorithms.ring_clearing import ring_clearing_supported
@@ -32,6 +32,7 @@ from ..analysis.feasibility import (
 )
 from ..analysis.game import GameVerdict, searching_game_verdict
 from ..campaign import run_experiment_campaign
+from ..context import ExecContext
 from ..modelcheck import check_cell
 from .report import ExperimentResult
 
@@ -104,17 +105,7 @@ def run_unit(unit: Dict[str, object]) -> Dict[str, object]:
     return {"rows": rows, "passed": passed, "counterexample": witness}
 
 
-def run(
-    variant: str = "quick",
-    jobs: int = 1,
-    store=None,
-    progress=None,
-    cache=None,
-    timeout=None,
-    retry=None,
-    fault_plan=None,
-    metrics=None,
-) -> ExperimentResult:
+def run(variant: str = "quick", ctx: Optional[ExecContext] = None) -> ExperimentResult:
     """Run E8 and return its result table."""
     result = ExperimentResult(
         experiment="E8",
@@ -124,11 +115,7 @@ def run(
             "states", "agrees",
         ),
     )
-    report = run_experiment_campaign(
-        "e8", variant, run_unit,
-        jobs=jobs, store=store, progress=progress, cache=cache,
-        timeout=timeout, retry=retry, fault_plan=fault_plan, metrics=metrics,
-    )
+    report = run_experiment_campaign("e8", variant, run_unit, ctx)
     result.apply_campaign_report(report)
     counterexamples = [
         record["payload"].get("counterexample")

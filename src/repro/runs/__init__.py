@@ -33,7 +33,7 @@ over exactly these calls.
 """
 
 from ..simulator.options import EngineOptions
-from .cache import CACHE_SCHEMA_VERSION, ResultCache, as_result_cache, cache_key
+from .cache import CACHE_SCHEMA_VERSION, ResultCache, cache_key
 from .execute import RunResult, execute
 from .spec import (
     ALGORITHMS,
@@ -63,7 +63,6 @@ __all__ = [
     "RunSpec",
     "SimulateSpec",
     "VerifySpec",
-    "as_result_cache",
     "cache_key",
     "canonical_spec_json",
     "execute",

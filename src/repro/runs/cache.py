@@ -28,12 +28,12 @@ import json
 import os
 import tempfile
 import threading
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from .. import __version__
 from .spec import RunSpec, canonical_spec_json
 
-__all__ = ["ResultCache", "CACHE_SCHEMA_VERSION", "cache_key", "as_result_cache"]
+__all__ = ["ResultCache", "CACHE_SCHEMA_VERSION", "cache_key"]
 
 #: Bumped whenever the cached document layout changes incompatibly.
 CACHE_SCHEMA_VERSION = 1
@@ -277,12 +277,3 @@ class ResultCache:
                     continue
             self._approx_count = 0
         return len(entries)
-
-
-def as_result_cache(
-    cache: Optional[Union[str, ResultCache]]
-) -> Optional[ResultCache]:
-    """Coerce a cache argument (path or instance or ``None``)."""
-    if cache is None or isinstance(cache, ResultCache):
-        return cache
-    return ResultCache(str(cache))

@@ -9,28 +9,29 @@ repeated run with an identical spec is served from disk without a single
 engine step, and campaign workers de-duplicate identical units across
 campaigns through the same store.
 
-Execution *context* (``jobs``, ``store``, ``progress``) deliberately
-lives outside the spec: it changes how fast a run completes and what
-side artifacts it writes, never what the result means — so it must not
-perturb the cache key.
+Execution *context* (:class:`~repro.context.ExecContext`: ``jobs``,
+``store``, ``cache``, ``timeout``, ...) deliberately lives outside the
+spec: it changes how fast a run completes and what side artifacts it
+writes, never what the result means — so it must not perturb the cache
+key.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from hashlib import sha256
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..batchsim import BatchEngine
-from ..campaign import ProgressCallback, ResultStore
+from ..context import ExecContext
 from ..core.configuration import Configuration
 from ..experiments import EXPERIMENTS
 from ..faults.deadline import call_with_deadline
 from ..modelcheck.grid import run_verify_campaign
 from ..simulator.engine import Simulator
 from ..workloads.generators import random_rigid_configuration
-from .cache import ResultCache, as_result_cache, cache_key
+from .cache import ResultCache, cache_key
 from .spec import (
     STOP_CONDITIONS,
     BatchSweepSpec,
@@ -148,10 +149,10 @@ def _simulate_job(spec: SimulateSpec) -> Dict[str, object]:
 
 
 def _execute_simulate(
-    spec: SimulateSpec, *, timeout: Optional[float], **_context: object
+    spec: SimulateSpec, ctx: ExecContext
 ) -> Tuple[Dict[str, object], bool, bool]:
     payload = call_with_deadline(
-        _simulate_job, (spec,), timeout=timeout, what="simulate run"
+        _simulate_job, (spec,), timeout=ctx.timeout, what="simulate run"
     )
     return payload, False, False
 
@@ -201,10 +202,10 @@ def _batchsweep_job(spec: BatchSweepSpec) -> Dict[str, object]:
 
 
 def _execute_batchsweep(
-    spec: BatchSweepSpec, *, timeout: Optional[float], **_context: object
+    spec: BatchSweepSpec, ctx: ExecContext
 ) -> Tuple[Dict[str, object], bool, bool]:
     payload = call_with_deadline(
-        _batchsweep_job, (spec,), timeout=timeout, what="batch sweep"
+        _batchsweep_job, (spec,), timeout=ctx.timeout, what="batch sweep"
     )
     return payload, False, False
 
@@ -213,32 +214,11 @@ def _execute_batchsweep(
 # verify
 # --------------------------------------------------------------------- #
 def _execute_verify(
-    spec: VerifySpec,
-    *,
-    jobs: int,
-    shards: int,
-    store: Optional[Union[str, ResultStore]],
-    progress: Optional[ProgressCallback],
-    cache: Optional[ResultCache],
-    timeout: Optional[float],
-    retry,
-    fault_plan,
-    metrics,
+    spec: VerifySpec, ctx: ExecContext
 ) -> Tuple[Dict[str, object], bool, bool]:
     report = run_verify_campaign(
-        spec.task,
-        list(spec.cells),
-        adversary=spec.adversary,
-        max_states=spec.max_states,
-        jobs=jobs,
-        shards=shards,
-        store=store,
-        progress=progress,
-        cache=cache,
-        timeout=timeout,
-        retry=retry,
-        fault_plan=fault_plan,
-        metrics=metrics,
+        spec.task, list(spec.cells), ctx,
+        adversary=spec.adversary, max_states=spec.max_states,
     )
     rows: List[List[object]] = []
     documents: List[Dict[str, object]] = []
@@ -286,29 +266,9 @@ def _execute_verify(
 # experiment
 # --------------------------------------------------------------------- #
 def _execute_experiment(
-    spec: ExperimentSpec,
-    *,
-    jobs: int,
-    shards: int,
-    store: Optional[Union[str, ResultStore]],
-    progress: Optional[ProgressCallback],
-    cache: Optional[ResultCache],
-    timeout: Optional[float],
-    retry,
-    fault_plan,
-    metrics,
+    spec: ExperimentSpec, ctx: ExecContext
 ) -> Tuple[Dict[str, object], bool, bool]:
-    result = EXPERIMENTS[spec.name](
-        spec.variant,
-        jobs=jobs,
-        store=store,
-        progress=progress,
-        cache=cache,
-        timeout=timeout,
-        retry=retry,
-        fault_plan=fault_plan,
-        metrics=metrics,
-    )
+    result = EXPERIMENTS[spec.name](spec.variant, ctx)
     payload = {
         "experiment": result.experiment,
         "title": result.title,
@@ -328,7 +288,8 @@ def _execute_experiment(
     return payload, transient, history_dependent
 
 
-#: Each executor returns ``(payload, transient, history_dependent)``:
+#: Each executor takes ``(spec, ctx)`` and returns ``(payload, transient,
+#: history_dependent)``:
 #: ``transient`` — a unit failed non-deterministically (callers should
 #: allow a retry); ``history_dependent`` — the payload is correct but
 #: reflects how it was served (resume/cache notes), so it must not be
@@ -364,67 +325,34 @@ class _WriteOnlyCache:
 
 def execute(
     spec: RunSpec,
+    context: Optional[ExecContext] = None,
+    /,
     *,
-    jobs: int = 1,
-    shards: int = 1,
-    store: Optional[Union[str, ResultStore]] = None,
-    progress: Optional[ProgressCallback] = None,
-    cache: Optional[Union[str, ResultCache]] = None,
     refresh: bool = False,
-    timeout: Optional[float] = None,
-    retry=None,
-    fault_plan=None,
-    metrics=None,
+    **fields: object,
 ) -> RunResult:
     """Execute one run spec and return its result.
 
     Args:
         spec: what to run.
-        jobs: worker processes for campaign-backed kinds (parallelism
-            *across* units).
-        shards: frontier partitions per model-checking cell (parallelism
-            *within* a verify unit; see :mod:`repro.modelcheck.frontier`).
-            Like ``jobs``, this is execution context: the payload is
-            byte-identical at any shard count, so it never enters the
-            spec — run ids and cache keys stay purely content-addressed.
-        store: campaign result-store directory (resume + JSONL shards);
-            when given, the whole-run cache lookup is skipped so the
-            store's side artifacts are actually written (unit-level
-            de-duplication still applies).
-        progress: campaign progress callback.
-        cache: result cache (path or instance).  Serves whole-run hits
-            and de-duplicates campaign units; ``None`` disables caching.
+        context: how to run it (default: a plain :class:`ExecContext`).
         refresh: execute even on a cache hit and overwrite the entry.
-        timeout: per-unit deadline in seconds for campaign-backed kinds
-            (an overrunning worker is *killed*, recorded as
-            ``"timeout"``, and retried once in isolation), and a
-            whole-run deadline for ``simulate`` / ``batch_sweep`` (which
-            then execute in a killable worker process and raise
-            :class:`~repro.faults.DeadlineExceeded` on overrun).
-        retry: optional :class:`~repro.faults.RetryPolicy` governing
-            in-place re-attempts of transiently failing campaign units.
-        fault_plan: optional :class:`~repro.faults.FaultPlan` arming
-            deterministic fault injection (chaos-testing context only).
-            Like ``jobs``, all three are execution context: they never
-            enter the spec, the run id or any cache key.
-        metrics: optional duck-typed metrics sink (any object with an
-            ``inc(name, **labels)`` method, e.g.
-            :class:`repro.service.metrics.MetricsRegistry`).  Campaign-
-            backed kinds count settled units on it
-            (``campaign_units_total``).  Pure observability: it never
-            affects payloads, run ids or cache keys.
+        **fields: :class:`ExecContext` fields overriding ``context``'s,
+            so ``execute(spec, jobs=2, cache=path)`` needs no context.
+
+    With a store in the context the whole-run cache lookup is skipped,
+    so the store's side artifacts are actually written (unit-level
+    de-duplication still applies).
 
     Returns:
         A :class:`RunResult`; ``cached`` is ``True`` iff the payload was
         served from the cache without executing anything.
     """
+    ctx = replace(context or ExecContext(), **fields)
     executor = _EXECUTORS.get(type(spec))
     if executor is None:
         raise TypeError(f"cannot execute spec of type {type(spec).__name__}")
-    if isinstance(cache, str) and fault_plan is not None:
-        result_cache: Optional[ResultCache] = ResultCache(cache, fault_plan=fault_plan)
-    else:
-        result_cache = as_result_cache(cache)
+    result_cache, store = ctx.cache, ctx.store
     run_id = cache_key(spec)
     if result_cache is not None and store is None and not refresh:
         document = result_cache.get(run_id)
@@ -435,21 +363,9 @@ def execute(
                 payload=document["payload"],  # type: ignore[arg-type]
                 cached=True,
             )
-    unit_cache = (
-        _WriteOnlyCache(result_cache) if refresh and result_cache is not None else result_cache
-    )
-    payload, transient, history_dependent = executor(
-        spec,
-        jobs=jobs,
-        shards=shards,
-        store=store,
-        progress=progress,
-        cache=unit_cache,
-        timeout=timeout,
-        retry=retry,
-        fault_plan=fault_plan,
-        metrics=metrics,
-    )
+    if refresh and result_cache is not None:
+        ctx = replace(ctx, cache=_WriteOnlyCache(result_cache))
+    payload, transient, history_dependent = executor(spec, ctx)
     # Whole-run entries are written only for runs whose payload is the
     # spec's canonical result: no transient worker failures (those must
     # be re-attempted, not replayed), no history-dependent serving notes,

@@ -42,13 +42,15 @@ import signal
 import sys
 import threading
 import time
+from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from time import perf_counter
 from typing import Dict, Optional, Tuple, Union
 from urllib.parse import urlsplit
 
 from .. import __version__
-from ..runs.cache import ResultCache, as_result_cache, cache_key
+from ..context import ExecContext
+from ..runs.cache import ResultCache, cache_key
 from ..runs.execute import execute
 from ..runs.spec import RunSpec, spec_from_jsonable
 from .events import EventBroker, format_sse
@@ -102,14 +104,22 @@ class RunService:
     """Run registry + persistent job queue behind the HTTP handler.
 
     Args:
-        cache: result cache (path or instance) shared with :func:`execute`;
-            ``None`` keeps results in memory only.
+        context: execution context of every run (default: a plain
+            :class:`~repro.context.ExecContext`).  Its cache is shared
+            with :func:`execute`; without one, results stay in memory.
+            Its ``timeout`` is a deadline per *campaign unit* for verify
+            and experiment runs: an overrunning unit is killed and
+            retried once on its own; if it overruns again, the run
+            settles ``done`` with a ``TIMEOUT`` row, is marked
+            retryable and is not cached.  For simulate and batch-sweep
+            runs it is a whole-run deadline: the run is killed and
+            settles as a retryable ``DeadlineExceeded`` error.  Its
+            fault plan also arms the ``service.run:<id>`` injection
+            site.  The service sets each run's ``progress`` and
+            ``metrics`` itself and rejects a store (results live in the
+            cache).
         workers: number of worker threads draining the job queue (the
             maximal number of concurrently executing runs).
-        jobs: worker *processes* each campaign-backed run may use.
-        shards: frontier shards per model-checking cell (within-cell
-            parallelism; byte-identical results, so not part of any run
-            id).
         max_runs: bound on the in-memory run registry; when exceeded,
             the oldest *settled* (done/error/cancelled) entries are
             dropped.  With a cache attached, dropped ``done`` runs
@@ -118,16 +128,6 @@ class RunService:
             runs are queued or running, new submissions raise
             :class:`ServiceBusy` (HTTP 429) instead of growing the
             queue without limit.
-        run_timeout: optional per-run deadline in seconds, forwarded to
-            :func:`~repro.runs.execute.execute` — a hung run is killed
-            and surfaced as a retryable ``DeadlineExceeded`` error
-            instead of occupying a worker slot forever.
-        retry: optional :class:`~repro.faults.RetryPolicy` forwarded to
-            :func:`~repro.runs.execute.execute` for transient unit
-            failures.
-        fault_plan: optional :class:`~repro.faults.FaultPlan` arming the
-            ``service.run:<id>`` injection site and the downstream
-            execution stack (chaos-testing context only).
         retry_after_s: advisory back-off, in seconds, sent to clients in
             the ``Retry-After`` header of 429/503 responses.
         queue_journal: path of the queue's JSONL journal.  Defaults to
@@ -139,14 +139,9 @@ class RunService:
 
     def __init__(
         self,
-        cache: Optional[Union[str, ResultCache]] = None,
+        context: Optional[ExecContext] = None,
         workers: int = 2,
-        jobs: int = 1,
-        shards: int = 1,
         max_runs: int = 1024,
-        run_timeout: Optional[float] = None,
-        retry=None,
-        fault_plan=None,
         retry_after_s: float = 5.0,
         queue_journal: Optional[str] = None,
         persist_queue: bool = True,
@@ -155,24 +150,13 @@ class RunService:
             raise ValueError("workers must be >= 1")
         if max_runs < 1:
             raise ValueError("max_runs must be >= 1")
-        if jobs > 1 and shards > 1:
-            raise ValueError("jobs and shards cannot both exceed 1")
-        if run_timeout is not None and run_timeout <= 0:
-            raise ValueError("run_timeout must be > 0 (or None to disable)")
         if retry_after_s <= 0:
             raise ValueError("retry_after_s must be > 0")
-        if isinstance(cache, str) and fault_plan is not None:
-            self._cache: Optional[ResultCache] = ResultCache(
-                cache, fault_plan=fault_plan
-            )
-        else:
-            self._cache = as_result_cache(cache)
-        self._jobs = jobs
-        self._shards = shards
+        self._context = context if context is not None else ExecContext()
+        if self._context.store is not None:
+            raise ValueError("RunService keeps results in its cache; a store is not supported")
+        self._cache: Optional[ResultCache] = self._context.cache
         self._max_runs = max_runs
-        self._run_timeout = run_timeout
-        self._retry = retry
-        self._fault_plan = fault_plan
         self.retry_after_s = retry_after_s
         self._lock = threading.Lock()
         self._idle = threading.Condition(self._lock)
@@ -576,24 +560,17 @@ class RunService:
             )
 
         try:
-            if self._fault_plan is not None:
+            fault_plan = self._context.fault_plan
+            if fault_plan is not None:
                 # Named injection site of the service's own run loop
                 # (worker-thread context: crash/hang faults would take
                 # the whole server down, so only the recoverable kinds
                 # are supported here).
-                self._fault_plan.fire(
+                fault_plan.fire(
                     f"service.run:{run_id[:12]}", supported=("transient", "slow_io")
                 )
             result = execute(
-                spec,
-                jobs=self._jobs,
-                shards=self._shards,
-                cache=self._cache,
-                timeout=self._run_timeout,
-                retry=self._retry,
-                fault_plan=self._fault_plan,
-                progress=_progress,
-                metrics=self.metrics,
+                spec, replace(self._context, progress=_progress, metrics=self.metrics)
             )
         except Exception as exc:  # noqa: BLE001 - surfaced to the client
             self.metrics.add_gauge("runs_inflight", -1)
@@ -915,12 +892,15 @@ def create_server(
     """Build a ready-to-run server (callers own ``serve_forever``).
 
     ``port=0`` binds an ephemeral port (useful for tests); read the
-    bound address back from ``server.server_address``.
+    bound address back from ``server.server_address``.  Without a
+    ``service``, one is built whose :class:`~repro.context.ExecContext`
+    holds ``cache``, ``jobs``, ``shards`` and ``run_timeout`` (as its
+    ``timeout``).
     """
     if service is None:
         service = RunService(
-            cache=cache, workers=workers, jobs=jobs, shards=shards,
-            run_timeout=run_timeout,
+            ExecContext(jobs=jobs, shards=shards, cache=cache, timeout=run_timeout),
+            workers=workers,
         )
     handler = type(
         "BoundRunRequestHandler",
@@ -950,17 +930,16 @@ def serve(
     ``SIGTERM`` (the normal orchestrator stop signal) triggers a
     graceful drain: new submissions get 503 + ``Retry-After`` while
     in-flight runs are given ``drain_grace_s`` seconds to settle, then
-    the listener stops and the process exits.  ``run_timeout`` bounds
-    each run's execution (see :class:`RunService`).  ``log_json`` emits
+    the listener stops and the process exits.  ``run_timeout`` becomes
+    the context's deadline: per campaign unit for verify and experiment
+    runs, per run otherwise (see :class:`RunService`).  ``log_json`` emits
     one structured JSON log line per request to stderr.
     """
-    service = RunService(
-        cache=cache, workers=workers, jobs=jobs, shards=shards,
-        run_timeout=run_timeout,
-    )
     server = create_server(
-        host, port, service=service, verbose=verbose, log_json=log_json
+        host, port, cache=cache, workers=workers, jobs=jobs, shards=shards,
+        run_timeout=run_timeout, verbose=verbose, log_json=log_json,
     )
+    service = server.RequestHandlerClass.service
 
     def _drain_and_stop(signum, frame) -> None:  # pragma: no cover - signal path
         service.drain()

@@ -13,6 +13,7 @@ import time
 import pytest
 
 from repro.campaign import ResultStore, build_cells_campaign, run_campaign
+from repro.context import ExecContext
 from repro.faults import FaultPlan, KillPoint, RetryPolicy, demo_worker
 
 #: Seed of the fault plan's decision stream; CI sweeps this via the
@@ -33,12 +34,15 @@ def _campaign(tag):
     )
 
 
-def _run_summary(tmp_path, tag, name, **kwargs):
-    """Run the campaign into a fresh store; return the summary bytes."""
-    store = ResultStore(str(tmp_path / name), fault_plan=kwargs.get("fault_plan"))
+def _run_summary(tmp_path, tag, name, **fields):
+    """Run the campaign into a fresh store; return the summary bytes.
+
+    The path-given store inherits the context's fault plan.
+    """
+    ctx = ExecContext(store=str(tmp_path / name), **fields)
     campaign = _campaign(tag)
-    run_campaign(campaign, demo_worker, store=store, **kwargs)
-    with open(store.summary_path(campaign.name), "rb") as handle:
+    run_campaign(campaign, demo_worker, ctx)
+    with open(ctx.store.summary_path(campaign.name), "rb") as handle:
         return handle.read()
 
 
@@ -103,14 +107,14 @@ def test_torn_write_then_resume_byte_identical(tmp_path):
     campaign = _campaign("torn")
     store = ResultStore(str(tmp_path / "faulted"), fault_plan=plan)
     with pytest.raises(KillPoint):
-        run_campaign(campaign, demo_worker, store=store)
+        run_campaign(campaign, demo_worker, ExecContext(store=store))
     # The dying write left a torn trailing line behind.
     shard = os.path.join(store.campaign_dir(campaign.name), "shard-0000.jsonl")
     with open(shard, "r", encoding="utf-8") as handle:
         assert not handle.read().endswith("\n")
     # Restart: a fresh, fault-free store resumes and completes the run.
     resumed = ResultStore(str(tmp_path / "faulted"))
-    run_campaign(campaign, demo_worker, store=resumed)
+    run_campaign(campaign, demo_worker, ExecContext(store=resumed))
     with open(resumed.summary_path(campaign.name), "rb") as handle:
         assert handle.read() == clean
 

@@ -8,6 +8,7 @@ import time
 import pytest
 
 from repro.campaign import build_cells_campaign, run_campaign
+from repro.context import ExecContext
 from repro.modelcheck.grid import run_unit as verify_worker
 from repro.runs import ResultCache, SimulateSpec, cache_key
 
@@ -132,9 +133,9 @@ class TestCampaignDeduplication:
 
     def test_identical_units_served_from_cache_across_runs(self, tmp_path):
         cache = ResultCache(str(tmp_path / "cache"))
-        fresh = run_campaign(self._campaign(), verify_worker, cache=cache)
+        fresh = run_campaign(self._campaign(), verify_worker, ExecContext(cache=cache))
         assert fresh.cached == []
-        again = run_campaign(self._campaign(), verify_worker, cache=cache)
+        again = run_campaign(self._campaign(), verify_worker, ExecContext(cache=cache))
         assert again.cached == ["u000-k003-n006"]
         # De-duplication must not change the deterministic aggregate.
         assert fresh.summary_bytes() == again.summary_bytes()
@@ -145,12 +146,14 @@ class TestCampaignDeduplication:
         from repro.campaign import ResultStore
 
         fresh = run_campaign(
-            self._campaign(), verify_worker,
-            store=ResultStore(str(tmp_path / "store-fresh")), cache=cache,
+            self._campaign(),
+            verify_worker,
+            ExecContext(store=ResultStore(str(tmp_path / "store-fresh")), cache=cache),
         )
         cached = run_campaign(
-            self._campaign(), verify_worker,
-            store=ResultStore(str(tmp_path / "store-cached")), cache=cache,
+            self._campaign(),
+            verify_worker,
+            ExecContext(store=ResultStore(str(tmp_path / "store-cached")), cache=cache),
         )
         assert cached.cached and not cached.resumed
         with open(fresh.summary_path, "rb") as h1, open(cached.summary_path, "rb") as h2:
@@ -161,10 +164,10 @@ class TestCampaignDeduplication:
         campaign = build_cells_campaign(
             experiment="x", variant="y", description="d", cells=[(1, 3)]
         )
-        report = run_campaign(campaign, _boom_worker, cache=cache)
+        report = run_campaign(campaign, _boom_worker, ExecContext(cache=cache))
         assert report.records[0]["status"] == "error"
         assert len(cache) == 0
-        report2 = run_campaign(campaign, _boom_worker, cache=cache)
+        report2 = run_campaign(campaign, _boom_worker, ExecContext(cache=cache))
         assert report2.cached == []
 
     def test_dynamically_defined_workers_do_not_use_the_cache(self, tmp_path):
@@ -176,12 +179,16 @@ class TestCampaignDeduplication:
             experiment="x", variant="y", description="d", cells=[(1, 3)]
         )
         with pytest.warns(RuntimeWarning, match="no stable identity"):
-            report = run_campaign(campaign, lambda unit: {"which": "A"}, cache=cache)
+            report = run_campaign(
+                campaign, lambda unit: {"which": "A"}, ExecContext(cache=cache)
+            )
         assert report.records[0]["payload"] == {"which": "A"}
         assert len(cache) == 0  # nothing cached under the ambiguous name
         with warnings_module.catch_warnings():
             warnings_module.simplefilter("ignore", RuntimeWarning)
-            report_b = run_campaign(campaign, lambda unit: {"which": "B"}, cache=cache)
+            report_b = run_campaign(
+                campaign, lambda unit: {"which": "B"}, ExecContext(cache=cache)
+            )
         assert report_b.records[0]["payload"] == {"which": "B"}
         assert report_b.cached == []
 

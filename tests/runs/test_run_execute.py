@@ -4,11 +4,15 @@ import json
 
 import pytest
 
+from repro.context import ExecContext
+from repro.faults import RetryPolicy
 from repro.runs import (
+    BatchSweepSpec,
     ExperimentSpec,
     ResultCache,
     SimulateSpec,
     VerifySpec,
+    cache_key,
     execute,
 )
 from repro.simulator.engine import Simulator
@@ -109,6 +113,54 @@ class TestExecuteExperiment:
         assert not stored.cached
         assert any("served from the result cache" in note for note in stored.payload["notes"])
         assert (tmp_path / "store" / "e1-quick" / "summary.json").exists()
+
+
+class _CountingSink:
+    """Duck-typed metrics sink: counts ``inc`` calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def inc(self, name, **labels):
+        self.calls += 1
+
+
+_VERIFY = VerifySpec(task="searching", cells=((3, 6), (3, 7)), max_states=20000)
+
+
+class TestContextIsNotIdentity:
+    """No execution-context field reaches a run id, cache key or payload."""
+
+    @pytest.mark.parametrize(
+        "spec,context",
+        [
+            (_VERIFY, lambda: ExecContext(shards=2)),
+            (_VERIFY, lambda: ExecContext(jobs=2)),
+            (
+                ExperimentSpec(name="e1", variant="quick"),
+                lambda: ExecContext(
+                    jobs=2, retry=RetryPolicy(base_delay_s=0.0), metrics=_CountingSink()
+                ),
+            ),
+            (
+                BatchSweepSpec(algorithm="align", n=9, k=4, steps=60, seeds=(0, 1)),
+                lambda: ExecContext(timeout=120.0),
+            ),
+        ],
+        ids=["verify-shards", "verify-jobs", "experiment-jobs-retry-metrics", "batch-timeout"],
+    )
+    def test_same_run_id_cache_key_and_payload_bytes(self, spec, context, tmp_path):
+        ctx = context()
+        plain = execute(spec)
+        tuned = execute(spec, ctx, cache=str(tmp_path))
+        assert tuned.run_id == plain.run_id == cache_key(spec)
+        assert json.dumps(tuned.payload, sort_keys=True) == json.dumps(
+            plain.payload, sort_keys=True
+        )
+        # The entry the tuned run wrote is the one a plain run looks up.
+        assert execute(spec, cache=str(tmp_path)).cached
+        if isinstance(ctx.metrics, _CountingSink):
+            assert ctx.metrics.calls > 0
 
 
 class TestExecuteErrors:

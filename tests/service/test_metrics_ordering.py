@@ -13,6 +13,7 @@ import threading
 import pytest
 
 import repro.service.server as server_module
+from repro.context import ExecContext
 from repro.service import RunService
 
 TINY_SPEC = {
@@ -72,7 +73,7 @@ def test_done_run_is_counted_when_waiter_wakes(gated_service):
 def test_failed_run_is_counted_when_waiter_wakes(gated_service, monkeypatch):
     service, reader_done = gated_service
 
-    def failing_execute(spec, **context):
+    def failing_execute(spec, ctx):
         raise RuntimeError("injected failure")
 
     monkeypatch.setattr(server_module, "execute", failing_execute)
@@ -87,7 +88,7 @@ def test_cancelled_run_is_counted_when_waiter_wakes(monkeypatch):
     release = threading.Event()
     started = threading.Event()
 
-    def blocking_execute(spec, **context):
+    def blocking_execute(spec, ctx):
         started.set()
         release.wait(timeout=30)
         raise RuntimeError("released")
@@ -122,14 +123,14 @@ def test_cancelled_run_is_counted_when_waiter_wakes(monkeypatch):
 
 def test_cached_submit_is_counted_before_it_is_visible(tmp_path):
     cache = str(tmp_path / "cache")
-    first = RunService(workers=1, cache=cache)
+    first = RunService(ExecContext(cache=cache), workers=1)
     try:
         view, _ = first.submit(TINY_SPEC)
         assert first.wait_idle(timeout=30)
     finally:
         first.shutdown()
 
-    service = RunService(workers=1, cache=cache)
+    service = RunService(ExecContext(cache=cache), workers=1)
     seen = []
     prune = service._prune_locked
 

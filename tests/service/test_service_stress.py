@@ -16,6 +16,7 @@ import json
 import threading
 import time
 
+from repro.context import ExecContext
 from repro.runs import execute as runs_execute
 from repro.runs.spec import spec_from_jsonable
 from repro.service import RunService
@@ -47,7 +48,7 @@ def _wait_settled(service, run_id, timeout=60.0):
 
 def test_parallel_identical_and_distinct_submits(tmp_path):
     service = RunService(
-        cache=str(tmp_path / "cache"),
+        ExecContext(cache=str(tmp_path / "cache")),
         workers=4,
         max_runs=1024,
     )

@@ -33,7 +33,8 @@ import time
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
-from repro.campaign import ResultStore, build_cells_campaign, run_campaign  # noqa: E402
+from repro.campaign import build_cells_campaign, run_campaign  # noqa: E402
+from repro.context import ExecContext  # noqa: E402
 from repro.faults import FaultPlan, RetryPolicy, demo_worker  # noqa: E402
 
 #: The demo grid: big enough that moderate fault rates hit several units.
@@ -66,9 +67,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     campaign = build_demo_campaign()
-    clean_store = ResultStore(os.path.join(args.out, "clean"))
-    run_campaign(campaign, demo_worker, jobs=args.jobs, store=clean_store)
-    with open(clean_store.summary_path(campaign.name), "rb") as handle:
+    clean_ctx = ExecContext(jobs=args.jobs, store=os.path.join(args.out, "clean"))
+    run_campaign(campaign, demo_worker, clean_ctx)
+    with open(clean_ctx.store.summary_path(campaign.name), "rb") as handle:
         clean = handle.read()
 
     plan = FaultPlan(
@@ -78,19 +79,18 @@ def main(argv=None) -> int:
         slow_s=0.005,
         state_dir=os.path.join(args.out, "fault-state"),
     )
-    faulted_store = ResultStore(os.path.join(args.out, "faulted"), fault_plan=plan)
-    started = time.monotonic()
-    run_campaign(
-        campaign,
-        demo_worker,
+    # The path-given store inherits the plan's write-path injection sites.
+    faulted_ctx = ExecContext(
         jobs=args.jobs,
-        store=faulted_store,
+        store=os.path.join(args.out, "faulted"),
         timeout=5.0,
         retry=RetryPolicy(base_delay_s=0.0, seed=args.seed),
         fault_plan=plan,
     )
+    started = time.monotonic()
+    run_campaign(campaign, demo_worker, faulted_ctx)
     wall = time.monotonic() - started
-    with open(faulted_store.summary_path(campaign.name), "rb") as handle:
+    with open(faulted_ctx.store.summary_path(campaign.name), "rb") as handle:
         faulted = handle.read()
 
     fired = plan.fired_sites()
