@@ -153,7 +153,7 @@ class GlobalRuleAlgorithm(Algorithm):
         paper's rules are) satisfy this automatically.
         """
 
-    # Convenience used by tests and by the engine's "global dry-run" mode. #
+    # Convenience for tests and examples: the plan as a plain dict. #
     def planned_moves(self, configuration: Configuration) -> Dict[int, int]:
         """Public wrapper returning a concrete dict copy of :meth:`plan`."""
         return dict(self.plan(configuration))
@@ -169,11 +169,11 @@ def is_pure_global_rule(algorithm: Algorithm) -> bool:
     determined by ``plan(C)`` alone (equivariance makes it independent
     of the adversary's view presentation order and of snapshot-only
     data like multiplicity flags).  Such algorithms admit a *global*
-    evaluation fast path: compute one plan per configuration and read
-    every robot's move off it, instead of building ``2k`` directed-view
-    snapshots.  Used by the branching adversary driver
-    (:mod:`repro.simulator.branching`) and the batched engine
-    (:mod:`repro.batchsim`).
+    evaluation path: compute one plan per configuration and read every
+    robot's move off it, instead of building ``2k`` directed-view
+    snapshots.  :class:`repro.simulator.batchplan.GlobalPlanTable` takes
+    that path, and serves both the branching adversary driver (hence
+    the model checker) and the batched engine (:mod:`repro.batchsim`).
     """
     algorithm_type = type(algorithm)
     return (

@@ -1,49 +1,57 @@
-"""Shared global-plan evaluation for batched simulation.
+"""The one plan-sharing layer: per-node decisions per dihedral class.
 
-A pure global-rule algorithm (see
-:func:`repro.model.algorithm.is_pure_global_rule`) decides every robot's
-move from one equivariant ``plan(configuration)`` call: the robot at
-global node ``p`` moves to ``plan[p]`` regardless of which directed view
-the adversary presents first.  The :class:`GlobalPlanTable` memoises
-those plans per occupancy vector so a whole *batch* of simulations pays
-one ``plan()`` call per distinct configuration — the decision fast path
-of :class:`repro.batchsim.BatchEngine`, mirroring the per-configuration
-fast path of the branching adversary driver
-(:mod:`repro.simulator.branching`).
+In the paper's model every algorithm is a rule over a robot's two views,
+so its decisions are equivariant under ring rotations and reflections:
+the decisions in a rotated or reflected occupancy vector are the rotated
+or reflected decisions.  :class:`GlobalPlanTable` exploits this for both
+of its consumers — the branching adversary driver
+(:meth:`repro.simulator.branching.BranchingDriver.node_options`, hence
+the model checker) and the batched engine
+(:class:`repro.batchsim.BatchEngine`) — by computing decisions once per
+*dihedral canonical class* and mapping them into each concrete frame
+through the packed codec's ``canonical_with_transform`` and the
+precomputed :func:`~repro.core.symmetry.dihedral_permutation_tables`.
 
-Plans are additionally shared across each configuration's whole
-rotation/reflection orbit: equivariance (the same contract that lets a
-global plan drive per-robot decisions at all) means
-``plan(sigma(c)) == sigma(plan(c))`` for every ring automorphism
-``sigma``, so the table computes one plan per *dihedral canonical class*
-and maps it through the automorphism into each raw frame.  On a batch of
-converging trajectories this cuts planner calls by 2-3x; on perpetual
-tours (whose orbits are rotations of one another) it is the difference
-between one planner call per lane-step and one per orbit state.
+Per class the table computes
 
-The table validates every plan entry (targets must be ring-adjacent to
-their movers) and, for the first few distinct configurations, replays
-each planned node through the exact per-snapshot
-:meth:`~repro.model.algorithm.GlobalRuleAlgorithm.compute` path under
-*both* view presentations — a deterministic equivariance self-check that
-catches planners violating their contract before they can silently
-desynchronise a batched run from its per-run reference.  Derived
-(frame-mapped) plans are checked against directly-computed plans from
-the same budget, so rotation-variant planners are caught too.
+* for a pure global-rule algorithm (see
+  :func:`repro.model.algorithm.is_pure_global_rule`), one
+  ``plan(configuration)`` call: the robot at node ``p`` moves to
+  ``plan[p]`` whatever view the adversary presents first, so one call
+  replaces up to ``2k`` snapshot evaluations;
+* for any other algorithm, the decision under *both* view presentations
+  of every occupied node, through a
+  :class:`~repro.model.algorithm.DecisionCache`.
+
+The table owns the adjacency check (a planned target that is not a ring
+neighbour of its mover becomes :data:`INVALID_TARGET`) and the
+equivariance self-check: for the first few classes the plan's option
+sets are replayed against the per-snapshot path under both
+presentations — i.e. in every robot's own frame — and a disagreement
+raises :class:`~repro.core.errors.AlgorithmPreconditionError`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
-from ..core.cyclic import min_rotation_index, reflect, rotate
-from ..core.errors import AlgorithmPreconditionError
+from ..core.configuration import Configuration
+from ..core.cyclic import packed_codec
+from ..core.errors import (
+    AlgorithmPreconditionError,
+    InvalidConfigurationError,
+    UnsupportedParametersError,
+)
 from ..core.ring import CCW, CW
-from ..model.algorithm import Algorithm, is_pure_global_rule
+from ..core.symmetry import dihedral_permutation_tables
+from ..model.algorithm import Algorithm, DecisionCache, is_pure_global_rule
 from ..model.snapshot import Snapshot
 from .engine import ConfigurationPool
 
-__all__ = ["INVALID_TARGET", "GlobalPlanTable"]
+__all__ = ["IDLE", "INVALID_TARGET", "DEFAULT_SELF_CHECKS", "GlobalPlanTable"]
+
+#: Option encoding: stay on the current node.
+IDLE = 0
 
 #: Sentinel plan target marking a mover whose planned target is not
 #: adjacent to it.  A robot looking on such a node raises
@@ -51,34 +59,49 @@ __all__ = ["INVALID_TARGET", "GlobalPlanTable"]
 #: adjacency check inside ``GlobalRuleAlgorithm.compute``.
 INVALID_TARGET = object()
 
-#: Number of distinct configurations replayed through the exact
+#: Number of classes whose plan is replayed through the exact
 #: per-snapshot path before the table trusts the planner's equivariance.
 DEFAULT_SELF_CHECKS = 4
 
+Counts = Tuple[int, ...]
+Options = Dict[int, Tuple[int, ...]]
+Plan = Dict[int, object]
+
+_ALGORITHM_ERRORS = (
+    AlgorithmPreconditionError,
+    UnsupportedParametersError,
+    InvalidConfigurationError,
+)
+
 
 class GlobalPlanTable:
-    """Memoised ``counts -> {mover node: target}`` plans for one algorithm.
+    """Per-node decisions of one algorithm, computed once per dihedral class.
 
     Args:
-        algorithm: a pure global-rule algorithm (anything else raises
-            ``TypeError`` — presentation- or multiplicity-dependent
-            algorithms have no configuration-determined plan).
-        n: ring size the plans are computed on.
-        pool: optional shared :class:`ConfigurationPool`; plans are
+        algorithm: the per-robot algorithm.
+        n: ring size the decisions are computed on.
+        multiplicity_detection: grant local multiplicity detection (the
+            gathering capability) when building snapshots.
+        pool: optional shared :class:`ConfigurationPool`; decisions are
             computed on pooled :class:`Configuration` objects so their
             memoised derived state (gap cycle, supermin, symmetry) is
             shared with every other consumer of the pool.
-        self_check: how many distinct configurations to verify against
-            the per-snapshot ``compute`` path (0 disables).
+        self_check: how many classes to verify against the per-snapshot
+            path (0 disables).
     """
 
     __slots__ = (
         "algorithm",
         "n",
+        "multiplicity_detection",
+        "_pure",
         "_pool",
+        "_decisions",
         "_plans",
+        "_options",
         "_canonical_plans",
-        "_canonical_of",
+        "_canonical_options",
+        "_transforms",
         "_self_checks_left",
     )
 
@@ -87,42 +110,87 @@ class GlobalPlanTable:
         algorithm: Algorithm,
         n: int,
         *,
+        multiplicity_detection: bool = False,
         pool: Optional[ConfigurationPool] = None,
         self_check: int = DEFAULT_SELF_CHECKS,
     ) -> None:
-        if not is_pure_global_rule(algorithm):
-            raise TypeError(
-                f"{type(algorithm).__name__} is not a pure global-rule algorithm; "
-                "its decisions may depend on snapshot presentation or multiplicity "
-                "and cannot be evaluated from a global plan"
-            )
         self.algorithm = algorithm
         self.n = n
+        self.multiplicity_detection = multiplicity_detection
+        self._pure = is_pure_global_rule(algorithm)
         self._pool = pool if pool is not None else ConfigurationPool()
-        self._plans: Dict[Tuple[int, ...], Dict[int, object]] = {}
-        self._canonical_plans: Dict[Tuple[int, ...], Dict[int, object]] = {}
-        self._canonical_of: Dict[
-            Tuple[int, ...], Tuple[Tuple[int, ...], int, bool]
-        ] = {}
+        self._decisions = DecisionCache(maxsize=1 << 15)
+        self._plans: Dict[Counts, Plan] = {}
+        self._options: Dict[Counts, Options] = {}
+        self._canonical_plans: Dict[Counts, Plan] = {}
+        self._canonical_options: Dict[Counts, Options] = {}
+        self._transforms: Dict[Counts, Tuple[Counts, Sequence[int], bool]] = {}
         self._self_checks_left = self_check
 
     def __len__(self) -> int:
         return len(self._plans)
 
-    def plan_for_counts(self, counts: Tuple[int, ...]) -> Dict[int, object]:
+    # ------------------------------------------------------------------ #
+    # lookups
+    # ------------------------------------------------------------------ #
+    def plan_for_counts(self, counts: Counts) -> Plan:
         """The validated plan for one occupancy vector (memoised).
 
         Values are adjacent target nodes, or :data:`INVALID_TARGET` for
         movers whose planned target is not adjacent.  Exceptions raised
         by the planner itself propagate (and are not memoised).
+
+        Raises:
+            TypeError: for an algorithm that is not a pure global rule —
+                its decisions may depend on the view presentation or on
+                multiplicity, so no single plan describes them.
         """
         plan = self._plans.get(counts)
         if plan is None:
-            plan = self._build(counts)
+            if not self._pure:
+                raise TypeError(
+                    f"{type(self.algorithm).__name__} is not a pure global-rule "
+                    "algorithm; its decisions may depend on snapshot presentation "
+                    "or multiplicity and cannot be evaluated from a global plan"
+                )
+            canonical, sigma, _ = self._transform(counts)
+            plan = self._for_class(canonical, counts, self._canonical_plans, self._plan)
+            if canonical is not counts:
+                plan = {
+                    sigma[node]: target if target is INVALID_TARGET else sigma[target]
+                    for node, target in plan.items()
+                }
             self._plans[counts] = plan
         return plan
 
-    def canonical_counts(self, counts: Tuple[int, ...]) -> Tuple[int, ...]:
+    def options_for_counts(self, counts: Counts) -> Options:
+        """Adversary-achievable outcomes per occupied node (memoised).
+
+        Returns, for every occupied node in increasing node order, the
+        sorted tuple of global outcomes (subset of ``(CCW, IDLE, CW)``)
+        an activated robot on that node can be driven to by choosing the
+        view presentation order.  Rotations relabel a class's nodes;
+        reflections additionally swap clockwise and counter-clockwise.
+        """
+        options = self._options.get(counts)
+        if options is None:
+            canonical, sigma, reflected = self._transform(counts)
+            options = self._for_class(
+                canonical, counts, self._canonical_options, self._class_options
+            )
+            if reflected:
+                options = dict(
+                    sorted(
+                        (sigma[node], tuple(sorted(-o for o in opts)))
+                        for node, opts in options.items()
+                    )
+                )
+            elif canonical is not counts:
+                options = dict(sorted((sigma[node], opts) for node, opts in options.items()))
+            self._options[counts] = options
+        return options
+
+    def canonical_counts(self, counts: Counts) -> Counts:
         """The dihedral canonical form of an occupancy vector (memoised).
 
         Two configurations share a canonical form iff one is a rotation
@@ -130,116 +198,139 @@ class GlobalPlanTable:
         equivariant quantity (plans, symmetry, the paper's convergence
         goals) is constant on.
         """
-        return self._memoised_transform(counts)[0]
+        return self._transform(counts)[0]
 
-    def _memoised_transform(
-        self, counts: Tuple[int, ...]
-    ) -> Tuple[Tuple[int, ...], int, bool]:
-        transform = self._canonical_of.get(counts)
-        if transform is None:
-            transform = self._transform(counts)
-            self._canonical_of[counts] = transform
-        return transform
+    def snapshot_options(self, counts: Counts) -> Options:
+        """Per-node outcomes computed directly, one decision per presentation.
+
+        The exact reference every shared lookup must reproduce: no class
+        sharing, no global plan.
+        """
+        configuration = self._pool.configuration(counts)
+        n = self.n
+        options: Options = {}
+        for node in configuration.support:
+            cw_view, ccw_view = configuration.views_of(node)
+            on_multiplicity = (
+                self.multiplicity_detection and configuration.multiplicity(node) > 1
+            )
+            outcomes = set()
+            for first_direction, views in ((CW, (cw_view, ccw_view)), (CCW, (ccw_view, cw_view))):
+                snapshot = Snapshot(n=n, views=views, on_multiplicity=on_multiplicity)
+                decision = self._decisions.compute(self.algorithm, snapshot)
+                if decision.is_idle:
+                    outcomes.add(IDLE)
+                else:
+                    outcomes.add(
+                        first_direction if decision.toward_view == 0 else -first_direction
+                    )
+            options[node] = tuple(sorted(outcomes))
+        return options
 
     # ------------------------------------------------------------------ #
     # construction
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def _transform(counts: Tuple[int, ...]) -> Tuple[Tuple[int, ...], int, bool]:
-        """Dihedral canonical form plus the automorphism reaching it.
+    def _transform(self, counts: Counts) -> Tuple[Counts, Sequence[int], bool]:
+        """Canonical form, the frame map into ``counts``, and whether it reflects.
 
-        Returns ``(canonical, r, reflected)`` such that node ``i`` of
-        the canonical frame corresponds to raw node ``(i + r) % n``
-        (``reflected`` False) or ``(-(i + r)) % n`` (``reflected``
-        True).
+        Returns ``(canonical, sigma, reflected)`` with ``canonical[j] ==
+        counts[sigma[j]]``: node ``j`` of the canonical frame is node
+        ``sigma[j]`` of the concrete one.  A canonical vector is returned
+        as itself, so ``canonical is counts`` tests for it.
         """
-        r_a = min_rotation_index(counts)
-        canonical_a = rotate(counts, r_a)
-        mirrored = reflect(counts)
-        r_b = min_rotation_index(mirrored)
-        canonical_b = rotate(mirrored, r_b)
-        if canonical_a <= canonical_b:
-            return canonical_a, r_a, False
-        return canonical_b, r_b, True
+        transform = self._transforms.get(counts)
+        if transform is None:
+            n = self.n
+            codec = packed_codec(n, sum(counts))
+            _, flip, r = codec.canonical_with_transform(codec.pack(counts))
+            rotations, reflections = dihedral_permutation_tables(n)
+            if flip == 0 and r == 0:
+                transform = (counts, rotations[0], False)
+            else:
+                sigma = rotations[r] if flip == 0 else reflections[(n - 1 - r) % n]
+                transform = (tuple(counts[i] for i in sigma), sigma, flip == 1)
+            self._transforms[counts] = transform
+        return transform
 
-    def _build(self, counts: Tuple[int, ...]) -> Dict[int, object]:
-        canonical, r, reflected = self._memoised_transform(counts)
-        base = self._canonical_plans.get(canonical)
+    @staticmethod
+    def _for_class(canonical: Counts, counts: Counts, cache: dict, compute):
+        """The memoised ``compute(canonical)`` of ``counts``'s class.
+
+        An algorithm error on the canonical form is re-raised as
+        ``counts`` itself raises it, so error messages do not depend on
+        which member of a class was met first; a class member that does
+        not raise at all betrays a non-equivariant algorithm, and the
+        canonical form's error stands.
+        """
+        base = cache.get(canonical)
         if base is None:
-            base = self._build_direct(canonical)
-            self._canonical_plans[canonical] = base
-        if counts == canonical:
-            return base
-        n = self.n
-        if reflected:
-            plan = {
-                (-(node + r)) % n: (
-                    target if target is INVALID_TARGET else (-(target + r)) % n
-                )
-                for node, target in base.items()
-            }
-        else:
-            plan = {
-                (node + r) % n: (
-                    target if target is INVALID_TARGET else (target + r) % n
-                )
-                for node, target in base.items()
-            }
-        if self._self_checks_left > 0:
-            self._self_checks_left -= 1
-            direct = self._build_direct(counts)
-            if direct != plan:
-                raise AlgorithmPreconditionError(
-                    f"algorithm {self.algorithm.name!r} violates its equivariance "
-                    f"contract: the plan for {counts} is not the frame-mapped plan "
-                    f"of its canonical form {canonical}"
-                )
-        return plan
+            try:
+                base = compute(canonical)
+            except _ALGORITHM_ERRORS:
+                if canonical is not counts:
+                    compute(counts)
+                raise
+            cache[canonical] = base
+        return base
 
-    def _build_direct(self, counts: Tuple[int, ...]) -> Dict[int, object]:
-        """Compute and validate a plan by calling the planner directly."""
+    def _plan(self, counts: Counts) -> Plan:
+        """One ``plan()`` call, adjacency-validated and self-checked."""
         configuration = self._pool.configuration(counts)
         n = self.n
-        plan: Dict[int, object] = {}
-        clean = True
+        plan: Plan = {}
         for node, target in self.algorithm.plan(configuration).items():
             if target == (node + 1) % n or target == (node - 1) % n:
                 plan[node] = target
             else:
                 plan[node] = INVALID_TARGET
-                clean = False
-        if clean and self._self_checks_left > 0:
-            self._self_checks_left -= 1
-            self._verify(configuration, plan)
+        if self._self_checks_left > 0:
+            derived = self._plan_options(configuration, plan)
+            if derived is not None:
+                self._self_checks_left -= 1
+                if derived != self.snapshot_options(counts):
+                    raise AlgorithmPreconditionError(
+                        f"algorithm {self.algorithm.name!r} violates its equivariance "
+                        f"contract: its global plan for {counts} disagrees with the "
+                        "decisions its robots compute from their own views"
+                    )
         return plan
 
-    def _verify(self, configuration, plan: Dict[int, object]) -> None:
-        """Replay every occupied node through the per-snapshot path.
+    def _class_options(self, counts: Counts) -> Options:
+        """Options of one vector: from its plan if pure, else per snapshot.
 
-        Both view presentations are checked, so a planner whose output
-        secretly depends on the presented frame cannot pass.
+        Views do not show multiplicities, so a pure rule's robots on a
+        vector with towers decide on the tower-free configuration their
+        views describe; the plan of the true vector does not apply there.
+        """
+        if self._pure and max(counts) <= 1:
+            options = self._plan_options(self._pool.configuration(counts), self._plan(counts))
+            if options is not None:
+                return options
+        # On a non-adjacent target the per-snapshot path raises the
+        # adjacency error from the robot's own frame.
+        return self.snapshot_options(counts)
+
+    def _plan_options(self, configuration: Configuration, plan: Plan) -> Optional[Options]:
+        """Option sets read off a validated plan (``None`` on an invalid target).
+
+        Both view presentations of a robot yield the same global move,
+        except on nodes whose two views coincide: there "move" means the
+        adversary picks the direction.
         """
         n = self.n
+        options: Options = {}
         for node in configuration.support:
-            cw_view, ccw_view = configuration.views_of(node)
-            on_multiplicity = configuration.multiplicity(node) > 1
-            for views, first_direction in (
-                ((cw_view, ccw_view), CW),
-                ((ccw_view, cw_view), CCW),
-            ):
-                snapshot = Snapshot(n=n, views=views, on_multiplicity=on_multiplicity)
-                decision = self.algorithm.compute(snapshot)
-                if decision.is_idle:
-                    observed: Optional[int] = None
+            target = plan.get(node)
+            if target is None:
+                options[node] = (IDLE,)
+            elif target is INVALID_TARGET:
+                return None
+            else:
+                cw_view, ccw_view = configuration.views_of(node)
+                if cw_view == ccw_view:
+                    options[node] = (CCW, CW)
+                elif target == (node + 1) % n:
+                    options[node] = (CW,)
                 else:
-                    direction = (
-                        first_direction if decision.toward_view == 0 else -first_direction
-                    )
-                    observed = (node + direction) % n
-                if observed != plan.get(node):
-                    raise AlgorithmPreconditionError(
-                        f"algorithm {self.algorithm.name!r} violates its "
-                        f"equivariance contract: at node {node} of configuration "
-                        f"{configuration.counts} the per-snapshot path yields "
-                        f"{observed!r} but the global plan says {plan.get(node)!r}"
-                    )
+                    options[node] = (CCW,)
+        return options

@@ -16,9 +16,10 @@ step by step and cross-checked against the engine.
 
 **Decision semantics.**  A robot's decision is a pure function of its
 snapshot, but the adversary chooses the order in which the two directed
-views are presented.  The driver therefore computes the decision under
-*both* presentations and exposes the union of the resulting global moves
-as the robot's option set — a subset of ``{IDLE, CW, CCW}``.  For a
+views are presented.  The driver therefore exposes the union of the
+global moves under *both* presentations as the robot's option set — a
+subset of ``{IDLE, CW, CCW}``, read per dihedral class from
+:class:`~repro.simulator.batchplan.GlobalPlanTable`.  For a
 presentation-independent algorithm this is a singleton (or the pair
 ``{CW, CCW}`` when the robot's views coincide and the direction genuinely
 belongs to the adversary); presentation-*dependent* algorithms (e.g. the
@@ -30,19 +31,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 from ..core.configuration import Configuration
-from ..core.cyclic import PackedSequenceCodec, packed_codec
-from ..core.errors import (
-    AlgorithmPreconditionError,
-    InvalidConfigurationError,
-    UnsupportedParametersError,
-)
-from ..core.ring import CCW, CW, Edge, Ring
-from ..core.symmetry import dihedral_permutation_tables
-from ..model.algorithm import Algorithm, DecisionCache, GlobalRuleAlgorithm, is_pure_global_rule
-from ..model.snapshot import Snapshot
+from ..core.ring import CCW, CW, Edge
+from ..model.algorithm import Algorithm
+from .batchplan import IDLE, GlobalPlanTable
 from .engine import ConfigurationPool
 
 __all__ = [
@@ -56,8 +50,9 @@ __all__ = [
     "BranchingDriver",
 ]
 
-#: Option encoding: stay on the current node.
-IDLE = 0
+#: Bound of a driver's configuration pool; revisited occupancy vectors
+#: reuse memoised gap/supermin/symmetry state.
+_POOL_SIZE = 1 << 15
 
 Counts = Tuple[int, ...]
 
@@ -148,8 +143,6 @@ class BranchingDriver:
         n: ring size.
         multiplicity_detection: grant local multiplicity detection (the
             gathering capability) when building snapshots.
-        pool_size: bound of the internal configuration pool; revisited
-            occupancy vectors reuse memoised gap/supermin/symmetry state.
     """
 
     def __init__(
@@ -158,29 +151,16 @@ class BranchingDriver:
         n: int,
         *,
         multiplicity_detection: bool = False,
-        pool_size: int = 1 << 15,
     ) -> None:
         self.algorithm = algorithm
         self.n = n
-        self.ring = Ring(n)
         self.multiplicity_detection = multiplicity_detection
-        self._pool = ConfigurationPool(pool_size)
-        self._decisions = DecisionCache(maxsize=1 << 15)
-        self._options_cache: Dict[Counts, Dict[int, Tuple[int, ...]]] = {}
-        self._canon_options: Dict[Counts, Dict[int, Tuple[int, ...]]] = {}
+        self._pool = ConfigurationPool(_POOL_SIZE)
+        #: The per-class decision table :meth:`node_options` reads.
+        self.table = GlobalPlanTable(
+            algorithm, n, multiplicity_detection=multiplicity_detection, pool=self._pool
+        )
         self._compact_cache: Dict[Tuple[Counts, str], Tuple[CompactTransition, ...]] = {}
-        self._codecs: Dict[int, PackedSequenceCodec] = {}
-        # Global-plan fast path: a pure GlobalRuleAlgorithm computes one
-        # equivariant plan per configuration; every per-robot decision is
-        # a frame change of that plan, so one plan() call replaces up to
-        # 2k snapshot evaluations.  Algorithms overriding compute() or
-        # plan_for_snapshot() (presentation- or multiplicity-dependent
-        # behaviour) stay on the exact per-snapshot path.  The first few
-        # classes are double-checked against the per-snapshot path; any
-        # mismatch (a planner violating its equivariance contract)
-        # permanently disables the fast path for this driver.
-        self._global_plan = is_pure_global_rule(algorithm)
-        self._global_plan_checks = 8
 
     # ------------------------------------------------------------------ #
     # per-robot options
@@ -189,151 +169,21 @@ class BranchingDriver:
         """Pooled configuration for a validated occupancy vector."""
         return self._pool.configuration(counts)
 
-    def _codec(self, k: int) -> PackedSequenceCodec:
-        codec = self._codecs.get(k)
-        if codec is None:
-            codec = packed_codec(self.n, k)
-            self._codecs[k] = codec
-        return codec
-
     def node_options(self, counts: Counts) -> Dict[int, Tuple[int, ...]]:
         """Adversary-achievable outcomes per occupied node.
 
-        Returns, for every occupied node, the sorted tuple of global
-        outcomes (subset of ``(-1, 0, +1)``) an activated robot on that
-        node can be driven to by choosing the view presentation order.
-        Co-located robots share a snapshot and hence an option set.
+        Returns, for every occupied node in increasing node order, the
+        sorted tuple of global outcomes (subset of ``(-1, 0, +1)``) an
+        activated robot on that node can be driven to by choosing the
+        view presentation order.  Co-located robots share a snapshot and
+        hence an option set.  The node order fixes the enumeration order
+        of the successor relation.
 
-        Algorithms are automorphism-equivariant (they are pure functions
-        of the view pair), so the option sets of dihedral-equivalent
-        occupancy vectors are images of each other: rotations relabel the
-        nodes, reflections additionally swap clockwise and
-        counter-clockwise.  Decisions are therefore computed once per
-        *canonical* occupancy class and mapped into the concrete frame
-        through the precomputed permutation tables, which collapses the
-        number of algorithm invocations by up to ``2 n``.
+        Read from :class:`~repro.simulator.batchplan.GlobalPlanTable`,
+        which computes decisions once per dihedral class of occupancy
+        vectors and maps them into the concrete frame.
         """
-        cached = self._options_cache.get(counts)
-        if cached is not None:
-            return cached
-        codec = self._codec(sum(counts))
-        _, flip, r = codec.canonical_with_transform(codec.pack(counts))
-        if flip == 0 and r == 0:
-            options = self._canon_options.get(counts)
-            if options is None:
-                options = self._compute_options(counts)
-                self._canon_options[counts] = options
-        else:
-            options = self._mapped_options(counts, flip, r)
-        self._options_cache[counts] = options
-        return options
-
-    def _mapped_options(
-        self, counts: Counts, flip: int, r: int
-    ) -> Dict[int, Tuple[int, ...]]:
-        """Options of ``counts`` derived from its canonical class."""
-        n = self.n
-        rotations, reflections = dihedral_permutation_tables(n)
-        sigma = rotations[r] if flip == 0 else reflections[(n - 1 - r) % n]
-        canon_counts = tuple(counts[sigma[j]] for j in range(n))
-        canon_options = self._canon_options.get(canon_counts)
-        if canon_options is None:
-            try:
-                canon_options = self._compute_options(canon_counts)
-            except (
-                AlgorithmPreconditionError,
-                UnsupportedParametersError,
-                InvalidConfigurationError,
-            ):
-                # Preserve the exact error the legacy per-state path
-                # raises: recompute on the concrete vector and let the
-                # failure surface from the concrete snapshot.
-                return self._compute_options(counts)
-            self._canon_options[canon_counts] = canon_options
-        # sigma maps canonical index j to concrete node sigma(j); its
-        # inverse is the rotation by n - r, or the same reflection again.
-        inverse = rotations[(n - r) % n] if flip == 0 else sigma
-        options: Dict[int, Tuple[int, ...]] = {}
-        if flip == 0:
-            for v in range(n):
-                if counts[v]:
-                    options[v] = canon_options[inverse[v]]
-        else:
-            for v in range(n):
-                if counts[v]:
-                    options[v] = tuple(
-                        sorted(-o for o in canon_options[inverse[v]])
-                    )
-        return options
-
-    def _compute_options(self, counts: Counts) -> Dict[int, Tuple[int, ...]]:
-        """Option computation for one occupancy vector (canonical or not)."""
-        if self._global_plan:
-            derived = self._compute_options_from_plan(counts)
-            if derived is not None:
-                if self._global_plan_checks > 0:
-                    self._global_plan_checks -= 1
-                    checked = self._compute_options_snapshots(counts)
-                    if checked != derived:
-                        self._global_plan = False
-                        return checked
-                return derived
-        return self._compute_options_snapshots(counts)
-
-    def _compute_options_from_plan(
-        self, counts: Counts
-    ) -> "Optional[Dict[int, Tuple[int, ...]]]":
-        """Options derived from one global plan of an equivariant planner.
-
-        For an equivariant planner both view presentations of a robot
-        yield the same *global* outcome, so the option set per occupied
-        node is the plan's direction (or idle) — except on nodes whose
-        two views coincide, where "move" means the adversary picks the
-        direction.  Returns ``None`` (caller falls back to the exact
-        per-snapshot path) when the plan asks for a non-adjacent hop,
-        so the legacy error surfaces identically.
-        """
-        configuration = self.configuration(counts)
-        moves = self.algorithm.plan(configuration)
-        n = self.n
-        options: Dict[int, Tuple[int, ...]] = {}
-        for node in configuration.support:
-            target = moves.get(node)
-            if target is None:
-                options[node] = (IDLE,)
-            elif target != (node + 1) % n and target != (node - 1) % n:
-                return None
-            else:
-                cw_view, ccw_view = configuration.views_of(node)
-                if cw_view == ccw_view:
-                    options[node] = (CCW, CW)
-                elif target == (node + 1) % n:
-                    options[node] = (CW,)
-                else:
-                    options[node] = (CCW,)
-        return options
-
-    def _compute_options_snapshots(self, counts: Counts) -> Dict[int, Tuple[int, ...]]:
-        """Direct option computation (one algorithm call per presentation)."""
-        configuration = self.configuration(counts)
-        options: Dict[int, Tuple[int, ...]] = {}
-        for node in configuration.support:
-            cw_view, ccw_view = configuration.views_of(node)
-            on_multiplicity = (
-                self.multiplicity_detection and configuration.multiplicity(node) > 1
-            )
-            outcomes = set()
-            for first_direction, views in ((CW, (cw_view, ccw_view)), (CCW, (ccw_view, cw_view))):
-                snapshot = Snapshot(n=self.n, views=views, on_multiplicity=on_multiplicity)
-                decision = self._decisions.compute(self.algorithm, snapshot)
-                if decision.is_idle:
-                    outcomes.add(IDLE)
-                else:
-                    outcomes.add(
-                        first_direction if decision.toward_view == 0 else -first_direction
-                    )
-            options[node] = tuple(sorted(outcomes))
-        return options
+        return self.table.options_for_counts(counts)
 
     # ------------------------------------------------------------------ #
     # transition relation

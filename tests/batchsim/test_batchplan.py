@@ -14,6 +14,7 @@ from repro.core.cyclic import reflect, rotate
 from repro.core.errors import AlgorithmPreconditionError
 from repro.model import GlobalRuleAlgorithm, is_pure_global_rule
 from repro.simulator.batchplan import INVALID_TARGET, GlobalPlanTable
+from repro.simulator.branching import BranchingDriver
 
 
 class CountingAlign(AlignAlgorithm):
@@ -63,10 +64,11 @@ class TestPurityGate:
         assert not is_pure_global_rule(GatheringAlgorithm())
 
     def test_table_rejects_impure_algorithms(self):
+        counts = Configuration.from_occupied(8, [0, 1, 3]).counts
         with pytest.raises(TypeError, match="not a pure global-rule algorithm"):
-            GlobalPlanTable(SweepAlgorithm(), 8)
+            GlobalPlanTable(SweepAlgorithm(), 8).plan_for_counts(counts)
         with pytest.raises(TypeError, match="not a pure global-rule algorithm"):
-            GlobalPlanTable(GatheringAlgorithm(), 8)
+            GlobalPlanTable(GatheringAlgorithm(), 8).plan_for_counts(counts)
 
 
 class TestCanonicalSharing:
@@ -113,6 +115,14 @@ class TestContractViolations:
         with pytest.raises(AlgorithmPreconditionError, match="equivariance"):
             for r in range(9):
                 table.plan_for_counts(rotate(counts, r))
+
+    def test_branching_driver_refuses_equivariance_violation(self):
+        # The model checker's driver reads the same table: a violation is
+        # an error there too, not a silent switch to per-snapshot options.
+        driver = BranchingDriver(RiggedPlanner(), 9)
+        counts = Configuration.from_occupied(9, [2, 3, 5]).counts
+        with pytest.raises(AlgorithmPreconditionError, match="equivariance"):
+            driver.node_options(counts)
 
     def test_non_adjacent_target_becomes_sentinel(self):
         table = GlobalPlanTable(NonAdjacentPlanner(), 9)

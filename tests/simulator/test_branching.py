@@ -48,10 +48,12 @@ class TestNodeOptions:
         ],
     )
     def test_options_match_direct_snapshot_computation(self, algorithm, multiplicity):
-        """The canonical-class mapping and the global-plan fast path must
+        """The canonical-class mapping and the global-plan path must
         reproduce the exact per-snapshot option sets on every occupancy
         vector — including reflections (direction negation), gathering
-        multiplicities and the presentation-dependent sweep baseline."""
+        multiplicities and the presentation-dependent sweep baseline —
+        in increasing node order, which fixes the successor enumeration
+        order and hence BFS order, witnesses and verdict bytes."""
         import itertools
 
         n, k = 7, 3
@@ -60,34 +62,59 @@ class TestNodeOptions:
         for support in itertools.combinations(range(n), k):
             counts = tuple(1 if v in support else 0 for v in range(n))
             try:
-                expected = oracle._compute_options_snapshots(counts)
+                expected = oracle.table.snapshot_options(counts)
             except Exception as exc:  # noqa: BLE001 - mirror error below
                 with pytest.raises(type(exc)):
                     fast.node_options(counts)
                 continue
-            assert fast.node_options(counts) == expected, counts
+            options = fast.node_options(counts)
+            assert options == expected, counts
+            assert list(options) == sorted(options), counts
         if multiplicity:
             # A vector with a tower exercises the on_multiplicity flag.
             counts = (2, 0, 1, 0, 0, 0, 0)
-            assert fast.node_options(counts) == oracle._compute_options_snapshots(counts)
+            assert fast.node_options(counts) == oracle.table.snapshot_options(counts)
+
+    def test_towers_take_the_per_snapshot_path(self):
+        """Views hide multiplicities, so on a vector with a tower a pure
+        rule's robots decide on the tower-free configuration; the plan of
+        the true vector must not be read off for them."""
+        driver = BranchingDriver(AlignAlgorithm(), 6)
+        for counts in [(2, 1, 0, 1, 0, 0), (2, 0, 1, 1, 0, 0), (2, 0, 1, 0, 0, 1)]:
+            assert driver.node_options(counts) == driver.table.snapshot_options(counts)
 
     def test_plan_fast_path_falls_back_on_non_adjacent_target(self):
         """A planner prescribing a 2-hop move must surface the legacy
         AlgorithmPreconditionError — also for symmetric-view nodes, and
-        also once the fast path's self-check budget is exhausted."""
+        also once the table's self-check budget is spent."""
         from repro.core.errors import AlgorithmPreconditionError
         from repro.model.algorithm import GlobalRuleAlgorithm
+        from repro.simulator.batchplan import DEFAULT_SELF_CHECKS
 
         class TwoHopPlanner(GlobalRuleAlgorithm):
+            """Idle everywhere except on an antipodal pair."""
+
             name = "two-hop"
 
             def plan(self, configuration):
                 node = configuration.support[0]
-                return {node: (node + 2) % configuration.n}
+                if configuration.num_occupied == 2 and configuration.counts[(node + 3) % 6]:
+                    return {node: (node + 2) % configuration.n}
+                return {}
 
         driver = BranchingDriver(TwoHopPlanner(), 6)
-        driver._global_plan_checks = 0  # exercise the unchecked fast path
-        with pytest.raises(AlgorithmPreconditionError):
+        # Five distinct classes whose (all-idle) plans pass the self-check.
+        classes = [
+            (1, 0, 0, 0, 0, 0),
+            (1, 1, 1, 0, 0, 0),
+            (1, 1, 0, 1, 0, 0),
+            (1, 0, 1, 0, 1, 0),
+            (1, 1, 1, 1, 0, 0),
+        ]
+        assert len(classes) >= DEFAULT_SELF_CHECKS
+        for counts in classes:
+            assert set(driver.node_options(counts).values()) == {(IDLE,)}
+        with pytest.raises(AlgorithmPreconditionError, match="non-adjacent"):
             # Antipodal robots: both views coincide, so the symmetric
             # branch is the one that must still validate adjacency.
             driver.node_options((1, 0, 0, 1, 0, 0))
