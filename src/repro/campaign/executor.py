@@ -201,16 +201,6 @@ def execute_batch(
     return records
 
 
-def _execute_chunk(
-    worker: Worker,
-    units: Sequence[Dict[str, object]],
-    batch_worker: Optional[BatchWorker] = None,
-    retry=None,
-) -> List[Dict[str, object]]:
-    """Run a chunk of units inside one worker process (reduces IPC)."""
-    return execute_batch(worker, batch_worker, units, retry)
-
-
 def _crashed_record(unit: Dict[str, object], message: str) -> Dict[str, object]:
     record = dict(unit)
     record.update(
@@ -258,19 +248,14 @@ def make_pool(jobs: int) -> ProcessPoolExecutor:
     multithreaded process can deadlock the child on locks held by
     sibling threads, so an explicit ``spawn`` context is used instead.
 
-    Shared with the frontier engine's sharded exploration
-    (:mod:`repro.modelcheck.frontier`), so every process pool in the
-    repository inherits the same thread-safety policy.
+    The only process-pool factory in the repository, so every pool
+    inherits the same thread-safety policy.
     """
     if threading.current_thread() is threading.main_thread():
         return ProcessPoolExecutor(max_workers=jobs)
     return ProcessPoolExecutor(
         max_workers=jobs, mp_context=multiprocessing.get_context("spawn")
     )
-
-
-#: Backwards-compatible private alias (pre-frontier-engine name).
-_make_pool = make_pool
 
 
 class _Collector:
@@ -332,11 +317,11 @@ def _run_parallel(
         reverse=True,
     )
     chunks = _chunked(pending, chunk_size)
-    pool = _make_pool(jobs)
+    pool = make_pool(jobs)
     try:
         futures = {
             pool.submit(
-                _execute_chunk, worker, [u.as_dict() for u in chunk], batch_worker, retry
+                execute_batch, worker, batch_worker, [u.as_dict() for u in chunk], retry
             ): chunk
             for chunk in chunks
         }
@@ -370,7 +355,7 @@ def _run_parallel(
                         if not harvested:
                             survivors.append(other_chunk)
                     pool.shutdown(wait=False)
-                    pool = _make_pool(jobs)
+                    pool = make_pool(jobs)
                     for unit in chunk:
                         isolated = pool.submit(execute_unit, worker, unit.as_dict(), retry)
                         try:
@@ -383,14 +368,14 @@ def _run_parallel(
                                 )
                             )
                             pool.shutdown(wait=False)
-                            pool = _make_pool(jobs)
+                            pool = make_pool(jobs)
                     for chunk_ in survivors:
                         futures[
                             pool.submit(
-                                _execute_chunk,
+                                execute_batch,
                                 worker,
-                                [u.as_dict() for u in chunk_],
                                 batch_worker,
+                                [u.as_dict() for u in chunk_],
                                 retry,
                             )
                         ] = chunk_
@@ -483,7 +468,7 @@ def _run_parallel_deadline(
                 unit = queue.popleft()
                 try:
                     future = pool.submit(
-                        _execute_chunk, worker, [unit.as_dict()], None, retry
+                        execute_batch, worker, None, [unit.as_dict()], retry
                     )
                 except BrokenProcessPool:
                     # A crash in an already-submitted unit broke the pool

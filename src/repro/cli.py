@@ -153,13 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", default=None, metavar="PATH",
         help="also write the full verdict documents (witnesses included) as JSON",
     )
-    verify.add_argument(
-        "--shards", type=_positive_int, default=1, metavar="N",
-        help=(
-            "partition each cell's frontier across N shard workers "
-            "(byte-identical verdicts; mutually exclusive with --jobs > 1)"
-        ),
-    )
     _add_campaign_arguments(verify)
     _add_cache_arguments(verify)
 
@@ -176,13 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--jobs", type=_positive_int, default=1, metavar="N",
         help="worker processes each campaign-backed run may use (default: 1)",
-    )
-    serve.add_argument(
-        "--shards", type=_positive_int, default=1, metavar="N",
-        help=(
-            "frontier shards per model-checking cell "
-            "(default: 1; mutually exclusive with --jobs > 1)"
-        ),
     )
     serve.add_argument(
         "--timeout",
@@ -349,19 +335,19 @@ def _progress_printer(done: int, total: int, record) -> None:
     )
 
 
-def _exec_context(parser: argparse.ArgumentParser, args, cache: Optional[str]) -> ExecContext:
-    """The execution context of this invocation; bad combinations exit 2."""
-    try:
-        return ExecContext(
-            jobs=getattr(args, "jobs", 1),
-            shards=getattr(args, "shards", 1),
-            store=getattr(args, "store", None),
-            progress=_progress_printer if getattr(args, "progress", False) else None,
-            cache=cache,
-            timeout=getattr(args, "timeout", None),
-        )
-    except ValueError as exc:
-        parser.error(str(exc))
+def _exec_context(args, cache: Optional[str]) -> ExecContext:
+    """The execution context of this invocation.
+
+    The argument types already enforce the context's rules (positive
+    ``--jobs`` and ``--timeout``), so a bad value exits 2 in argparse.
+    """
+    return ExecContext(
+        jobs=getattr(args, "jobs", 1),
+        store=getattr(args, "store", None),
+        progress=_progress_printer if getattr(args, "progress", False) else None,
+        cache=cache,
+        timeout=getattr(args, "timeout", None),
+    )
 
 
 def _run_experiment(name: str, full: bool, out, ctx: ExecContext, refresh: bool) -> int:
@@ -541,7 +527,7 @@ def _dispatch(parser: argparse.ArgumentParser, args, out) -> int:
         return _run_feasibility(args.max_n, args.task, out)
     cache = _resolve_cache(parser, args)
     _validate_campaign_arguments(parser, args, cache)
-    ctx = _exec_context(parser, args, cache)
+    ctx = _exec_context(args, cache)
     if args.command == "experiment":
         return _run_experiment(args.name, args.full, out, ctx, args.refresh)
     if args.command == "all":
@@ -561,7 +547,6 @@ def _dispatch(parser: argparse.ArgumentParser, args, out) -> int:
             cache=ctx.cache,
             workers=args.workers,
             jobs=ctx.jobs,
-            shards=ctx.shards,
             run_timeout=ctx.timeout,
             verbose=args.verbose,
             log_json=args.json_logs,

@@ -34,13 +34,11 @@ __all__ = ["ExecContext"]
 
 @dataclass(frozen=True)
 class ExecContext:
-    """The nine execution knobs of a run, validated together.
+    """The eight execution knobs of a run, validated together.
 
     Attributes:
         jobs: worker processes running campaign units in parallel
             (``1`` runs in-process).
-        shards: frontier partitions per model-checking cell (parallelism
-            *within* a verify unit).
         store: campaign result store (path or
             :class:`~repro.campaign.ResultStore`): resume plus JSONL
             shards and ``summary.json``.
@@ -57,12 +55,11 @@ class ExecContext:
             counting settled campaign units.
 
     Raises:
-        ValueError: ``jobs`` or ``shards`` below 1, both above 1, or a
-            ``timeout`` that is not ``None`` and not positive.
+        ValueError: ``jobs`` below 1, or a ``timeout`` that is not
+            ``None`` and not positive.
     """
 
     jobs: int = 1
-    shards: int = 1
     store: Optional[Union[str, "ResultStore"]] = None
     progress: Optional["ProgressCallback"] = None
     cache: Optional[Union[str, "ResultCache"]] = None
@@ -74,13 +71,6 @@ class ExecContext:
     def __post_init__(self) -> None:
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
-        if self.shards < 1:
-            raise ValueError("shards must be >= 1")
-        if self.jobs > 1 and self.shards > 1:
-            raise ValueError(
-                "jobs and shards cannot both exceed 1; parallelise across units "
-                "(--jobs) or within model-checking cells (--shards), not both"
-            )
         if self.timeout is not None and self.timeout <= 0:
             raise ValueError("timeout must be > 0 (or None to disable)")
         # A path-given cache or store inherits the fault plan's

@@ -39,9 +39,7 @@ asynchronous CORDA adversary.
 **Engines.**  Exploration runs on the packed-state frontier engine
 (:mod:`repro.modelcheck.frontier`): states are single integers, dihedral
 canonicalisation is a table-driven min-scan, the searching dynamics are
-interval bitmasks, and the frontier can optionally be sharded across a
-process pool (``shards > 1``) with byte-identical output.  When NumPy is
-importable the checker uses the array-batched vector backend
+interval bitmasks.  When NumPy is importable the checker uses the array-batched vector backend
 (:mod:`repro.modelcheck.vector`), which processes whole BFS waves as
 int64 arrays, and the packed engine otherwise (see
 :mod:`repro.modelcheck.engines`); the choice is not a user option.  The
@@ -119,10 +117,6 @@ class ModelChecker:
             kept as a differential oracle.  Every engine produces
             byte-identical results; only the differential suite and
             reference generators pass anything but ``auto``.
-        shards: packed-engine frontier partitions expanded in parallel
-            (``1`` = serial).  Ignored by the legacy engine and by
-            custom ``spec`` adapters, whose shard workers could not be
-            reconstructed by name in another process.
     """
 
     def __init__(
@@ -135,12 +129,9 @@ class ModelChecker:
         max_states: int = DEFAULT_MAX_STATES,
         spec: Optional[TaskSpec] = None,
         engine: str = "auto",
-        shards: int = 1,
     ) -> None:
         if adversary not in ("ssync", "sequential"):
             raise ValueError(f"unknown adversary {adversary!r}; expected 'ssync' or 'sequential'")
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
         custom_spec = spec is not None
         self.spec = spec if spec is not None else make_task_spec(task, n, k)
         self.n = n
@@ -148,11 +139,9 @@ class ModelChecker:
         self.adversary = adversary
         self.max_states = max_states
         self.engine = resolve_engine(engine)
-        # The persistent cell cache and the sharded workers both rebuild
-        # the task adapter by name; a custom or unregistered adapter
-        # therefore explores serially with instance-local caches.
+        # The persistent cell cache is keyed by task name; a custom or
+        # unregistered adapter therefore keeps instance-local caches.
         self._registered_spec = not custom_spec and self.spec.task in TASKS
-        self.shards = shards if self._registered_spec else 1
         self.ring = Ring(n)
         self.driver = BranchingDriver(
             self.spec.algorithm, n, multiplicity_detection=self.spec.multiplicity_detection
@@ -194,7 +183,6 @@ class ModelChecker:
                     self.adversary,
                     self.max_states,
                     self.driver,
-                    shards=self.shards,
                     persistent=self._registered_spec,
                 ).run(result)
         finally:
@@ -403,8 +391,7 @@ class ModelChecker:
         # Iterate in BFS discovery order (= out_edges insertion order), not
         # set order: the SCC enumeration — and with it the witness chosen
         # among equally valid fair loops — must not depend on how states
-        # happen to hash, so both engines and any shard count pick the
-        # same loop.
+        # happen to hash, so every engine picks the same loop.
         restricted = {
             s: [t for (t, _) in out_edges[s] if t in region]
             for s in out_edges
@@ -548,7 +535,6 @@ def check_cell(
     adversary: str = "ssync",
     max_states: int = DEFAULT_MAX_STATES,
     engine: str = "auto",
-    shards: int = 1,
 ) -> ModelCheckResult:
     """Convenience wrapper: build a checker and run one cell."""
     return ModelChecker(
@@ -558,5 +544,4 @@ def check_cell(
         adversary=adversary,
         max_states=max_states,
         engine=engine,
-        shards=shards,
     ).run()

@@ -24,28 +24,13 @@ hot path wholesale:
   :class:`repro.tasks.searching.RingSearchDynamics`;
 * BFS, SCC-based fair-livelock detection and witness reconstruction all
   run over int-keyed dicts.
-
-**Sharded parallel exploration.**  With ``shards > 1`` the engine
-partitions each BFS frontier by the residue of the packed occupancy key
-— the canonical state key for terminal tasks; for the phase-carrying
-tasks the phase field is deliberately stripped, since expansion depends
-only on the occupancy vector and states sharing it must land on the
-same shard — and expands the partitions concurrently on a process pool
-built by :func:`repro.campaign.executor.make_pool` (the campaign
-subsystem's pool factory).  Only the *expansion* (algorithm decisions,
-successor enumeration) is parallel; discovered successors are merged by
-a serial reduce that replays the exact serial bookkeeping — BFS order,
-parent assignment, transition counting, early exits — so verdicts,
-statistics and witness traces are byte-identical to the serial path and
-independent of the shard count.
 """
 
 from __future__ import annotations
 
-import atexit
 import threading
 from collections import deque
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..analysis.enumeration import iter_configurations
 from ..analysis.graphs import tarjan_scc
@@ -65,9 +50,9 @@ from ..simulator.branching import (
 )
 from ..tasks.searching import ring_search_dynamics
 from .results import Verdict, Witness, WitnessStep, ModelCheckResult
-from .tasks import TaskSpec, make_task_spec
+from .tasks import TaskSpec
 
-__all__ = ["CellCache", "FrontierExplorer", "cell_cache", "shard_pool"]
+__all__ = ["CellCache", "FrontierExplorer", "cell_cache"]
 
 Counts = Tuple[int, ...]
 
@@ -83,8 +68,8 @@ _ALGORITHM_ERRORS = (
     InvalidConfigurationError,
 )
 
-#: Name -> class map used to re-raise worker-side algorithm errors in
-#: the driving process with their original type and message.
+#: Name -> class map used to re-raise a memoised expansion error with
+#: its original type and message.
 _ERRORS_BY_NAME = {cls.__name__: cls for cls in _ALGORITHM_ERRORS}
 
 
@@ -168,76 +153,6 @@ def _initial_configurations(n: int, k: int) -> Tuple[Tuple[Counts, ...], str]:
 
 
 # --------------------------------------------------------------------- #
-# shard worker pool
-# --------------------------------------------------------------------- #
-_SHARD_POOLS: Dict[int, object] = {}
-_SHARD_POOLS_LOCK = threading.Lock()
-
-#: Per-worker-process driver cache (task, n, k) -> BranchingDriver.
-_WORKER_DRIVERS: Dict[Tuple[str, int, int], BranchingDriver] = {}
-
-
-def _shutdown_shard_pools() -> None:  # pragma: no cover - exit hook
-    for pool in _SHARD_POOLS.values():
-        pool.shutdown(wait=False, cancel_futures=True)
-    _SHARD_POOLS.clear()
-
-
-def shard_pool(shards: int):
-    """The lazily created, process-wide pool for ``shards`` workers.
-
-    Reuses the campaign executor's :func:`~repro.campaign.executor.make_pool`
-    (fork from the main thread, spawn elsewhere) and is shared across
-    every cell of a verification grid, so the per-cell cost of sharded
-    exploration is one pickle round-trip per frontier, not a pool
-    start-up.
-    """
-    with _SHARD_POOLS_LOCK:
-        # Locked check-then-create: concurrent service threads must not
-        # both build (and half-leak) a pool for the same shard count.
-        pool = _SHARD_POOLS.get(shards)
-        if pool is None:
-            from ..campaign.executor import make_pool
-
-            if not _SHARD_POOLS:
-                atexit.register(_shutdown_shard_pools)
-            pool = make_pool(shards)
-            _SHARD_POOLS[shards] = pool
-    return pool
-
-
-def _expand_batch(
-    task: str, n: int, k: int, adversary: str, batch: Sequence[Counts]
-) -> List[Tuple[Counts, Tuple[str, object, object]]]:
-    """Shard worker: expand a batch of occupancy vectors of one cell.
-
-    Returns ``(counts, ("ok", records, None))`` per vector, or
-    ``(counts, ("error", type_name, message))`` when the algorithm
-    rejects the state — the reduce re-raises or records it exactly where
-    the serial path would.
-    """
-    key = (task, n, k)
-    driver = _WORKER_DRIVERS.get(key)
-    if driver is None:
-        if len(_WORKER_DRIVERS) > 4:
-            # Evict the oldest cell only; drivers of still-active cells
-            # keep their warm decision/expansion caches.
-            _WORKER_DRIVERS.pop(next(iter(_WORKER_DRIVERS)))
-        spec = make_task_spec(task, n, k)
-        driver = BranchingDriver(
-            spec.algorithm, n, multiplicity_detection=spec.multiplicity_detection
-        )
-        _WORKER_DRIVERS[key] = driver
-    out: List[Tuple[Counts, Tuple[str, object, object]]] = []
-    for counts in batch:
-        try:
-            out.append((counts, ("ok", driver.successors_compact(counts, adversary), None)))
-        except _ALGORITHM_ERRORS as exc:
-            out.append((counts, ("error", type(exc).__name__, str(exc))))
-    return out
-
-
-# --------------------------------------------------------------------- #
 # the explorer
 # --------------------------------------------------------------------- #
 class FrontierExplorer:
@@ -257,9 +172,6 @@ class FrontierExplorer:
         driver: the branching driver to expand with (shared with the
             owning :class:`~repro.modelcheck.checker.ModelChecker` so
             witness replay reuses the same caches).
-        shards: frontier partitions expanded in parallel; ``1`` is the
-            serial path.  Requires ``spec.task`` to be a registered task
-            (shard workers rebuild the adapter by name).
         persistent: bind the packing/canonicalisation/expansion memos to
             the process-wide :func:`cell_cache` of the cell instead of
             instance-local dicts, so successor plans amortise across
@@ -275,7 +187,6 @@ class FrontierExplorer:
         adversary: str,
         max_states: int,
         driver: BranchingDriver,
-        shards: int = 1,
         persistent: bool = False,
     ) -> None:
         self.spec = spec
@@ -284,7 +195,6 @@ class FrontierExplorer:
         self.adversary = adversary
         self.max_states = max_states
         self.driver = driver
-        self.shards = max(1, shards)
         self.codec = packed_codec(n, k)
         self.counts_bits = self.codec.total_bits
         self.counts_mask = self.codec.full_mask
@@ -352,7 +262,7 @@ class FrontierExplorer:
         return code
 
     # ------------------------------------------------------------------ #
-    # expansion (serial or sharded)
+    # expansion
     # ------------------------------------------------------------------ #
     def _expansion(self, code: int) -> Tuple[str, object, object]:
         entry = self._expansions.get(code)
@@ -371,37 +281,6 @@ class FrontierExplorer:
         if entry[0] != "ok":  # pragma: no cover - defensive
             raise _ERRORS_BY_NAME[entry[1]](entry[2])
         return entry[1]
-
-    def _prefetch(self, states: Sequence[int]) -> None:
-        """Expand the frontier's unexpanded vectors across the shard pool."""
-        pending: List[int] = []
-        seen: Set[int] = set()
-        for state in states:
-            code = self._counts_code(state)
-            if code not in self._expansions and code not in seen:
-                seen.add(code)
-                pending.append(code)
-        if len(pending) < 2:
-            return
-        buckets: List[List[Counts]] = [[] for _ in range(self.shards)]
-        for code in pending:
-            # Partition by the packed occupancy key (canonical for
-            # terminal tasks, phase-stripped for the others): every
-            # state sharing an occupancy vector shares one expansion,
-            # so it must be computed by exactly one shard.
-            buckets[code % self.shards].append(self._counts_of[code])
-        pool = shard_pool(self.shards)
-        futures = [
-            pool.submit(
-                _expand_batch, self.spec.task, self.n, self.k, self.adversary, bucket
-            )
-            for bucket in buckets
-            if bucket
-        ]
-        for future in futures:
-            for counts, entry in future.result():
-                code, _ = self._pack_counts(counts)
-                self._expansions[code] = entry
 
     # ------------------------------------------------------------------ #
     # main loop
@@ -429,11 +308,6 @@ class FrontierExplorer:
 
         num_transitions = 0
         while queue:
-            if (
-                self.shards > 1
-                and self._counts_code(queue[0]) not in self._expansions
-            ):
-                self._prefetch(queue)
             state = queue.popleft()
             code = self._counts_code(state)
             counts = self._counts_of[code]

@@ -48,31 +48,19 @@ def build_verify_campaign(
     )
 
 
-def run_unit(unit: Dict[str, object], shards: int = 1) -> Dict[str, object]:
+def run_unit(unit: Dict[str, object]) -> Dict[str, object]:
     """Campaign worker: model-check one cell.
 
     The payload row is ``(task, k, n, algorithm, adversary, verdict,
     states, transitions, witness?)``; the full verdict document (without
     timing, for byte-determinism) rides along under ``"result"``.
-
-    ``shards`` is execution context, not cell identity: a sharded
-    exploration returns the byte-identical payload, so it is not part of
-    the unit dict (and therefore not part of the campaign or unit-cache
-    identity).
     """
     extra = unit.get("extra") or {}
     task = str(extra["task"])
     adversary = str(extra.get("adversary", "ssync"))
     max_states = int(extra.get("max_states", DEFAULT_MAX_STATES))
     k, n = int(unit["k"]), int(unit["n"])
-    result = ModelChecker(
-        task,
-        n,
-        k,
-        adversary=adversary,
-        max_states=max_states,
-        shards=shards,
-    ).run()
+    result = ModelChecker(task, n, k, adversary=adversary, max_states=max_states).run()
     witness_note = result.witness.note if result.witness else ""
     return {
         "row": [
@@ -91,25 +79,6 @@ def run_unit(unit: Dict[str, object], shards: int = 1) -> Dict[str, object]:
     }
 
 
-class _ConfiguredVerifyWorker:
-    """``run_unit`` with a fixed shard count, picklable by reference.
-
-    Each instance advertises ``run_unit``'s qualname (as an *instance*
-    attribute, leaving the class's own pickling identity untouched) so
-    the campaign layer's unit de-duplication cache keys stay identical
-    to the plain worker's — a sharded exploration of the same cell
-    returns the byte-identical payload, so every shard count must share
-    cache entries.
-    """
-
-    def __init__(self, shards: int = 1) -> None:
-        self.shards = shards
-        self.__qualname__ = run_unit.__qualname__
-
-    def __call__(self, unit: Dict[str, object]) -> Dict[str, object]:
-        return run_unit(unit, shards=self.shards)
-
-
 def run_verify_campaign(
     task: str,
     cells: Sequence[Tuple[int, int]],
@@ -121,11 +90,9 @@ def run_verify_campaign(
     """Build and execute a verification grid (the ``repro verify`` core).
 
     ``ctx.jobs`` parallelises *across* cells through the campaign pool;
-    ``ctx.shards`` parallelises *within* each cell by partitioning the
-    frontier across the shard pool (see :mod:`repro.modelcheck.frontier`).
-    Both leave every payload byte-identical to the serial run.
+    each cell runs the serial frontier loop, so every payload is
+    byte-identical to the serial run.
     """
     ctx = ctx if ctx is not None else ExecContext()
     campaign = build_verify_campaign(task, cells, adversary=adversary, max_states=max_states)
-    worker = _ConfiguredVerifyWorker(ctx.shards) if ctx.shards > 1 else run_unit
-    return run_campaign(campaign, worker, ctx)
+    return run_campaign(campaign, run_unit, ctx)

@@ -4,8 +4,8 @@ These value objects are shared between the two exploration engines — the
 packed-state frontier engine (:mod:`repro.modelcheck.frontier`, the
 default) and the legacy tuple-state explorer retained inside
 :mod:`repro.modelcheck.checker` for differential testing — and their
-JSON renderings are required to be byte-identical across engines, shard
-counts and processes.
+JSON renderings are required to be byte-identical across engines and
+processes.
 """
 
 from __future__ import annotations

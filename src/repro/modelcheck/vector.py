@@ -205,12 +205,10 @@ class VectorFrontierExplorer(FrontierExplorer):
         adversary: str,
         max_states: int,
         driver: BranchingDriver,
-        shards: int = 1,
         persistent: bool = False,
     ) -> None:
         super().__init__(
-            spec, n, k, adversary, max_states, driver,
-            shards=shards, persistent=persistent,
+            spec, n, k, adversary, max_states, driver, persistent=persistent
         )
         self._np = _require_numpy()
         self._ring_mask = (1 << n) - 1
@@ -319,8 +317,6 @@ class VectorFrontierExplorer(FrontierExplorer):
         while pending:
             batch = pending
             pending = []
-            if self.shards > 1:
-                self._prefetch(batch)
             if len(recent) > 64 and len(recent) * 4 > visited_sorted.size:
                 visited_sorted = np.fromiter(
                     parents.keys(), dtype=np.int64, count=len(parents)

@@ -884,7 +884,6 @@ def create_server(
     cache: Optional[Union[str, ResultCache]] = None,
     workers: int = 2,
     jobs: int = 1,
-    shards: int = 1,
     run_timeout: Optional[float] = None,
     verbose: bool = False,
     log_json: bool = False,
@@ -894,12 +893,11 @@ def create_server(
     ``port=0`` binds an ephemeral port (useful for tests); read the
     bound address back from ``server.server_address``.  Without a
     ``service``, one is built whose :class:`~repro.context.ExecContext`
-    holds ``cache``, ``jobs``, ``shards`` and ``run_timeout`` (as its
-    ``timeout``).
+    holds ``cache``, ``jobs`` and ``run_timeout`` (as its ``timeout``).
     """
     if service is None:
         service = RunService(
-            ExecContext(jobs=jobs, shards=shards, cache=cache, timeout=run_timeout),
+            ExecContext(jobs=jobs, cache=cache, timeout=run_timeout),
             workers=workers,
         )
     handler = type(
@@ -919,7 +917,6 @@ def serve(
     cache: Optional[Union[str, ResultCache]] = None,
     workers: int = 2,
     jobs: int = 1,
-    shards: int = 1,
     run_timeout: Optional[float] = None,
     drain_grace_s: float = 30.0,
     verbose: bool = False,
@@ -936,7 +933,7 @@ def serve(
     one structured JSON log line per request to stderr.
     """
     server = create_server(
-        host, port, cache=cache, workers=workers, jobs=jobs, shards=shards,
+        host, port, cache=cache, workers=workers, jobs=jobs,
         run_timeout=run_timeout, verbose=verbose, log_json=log_json,
     )
     service = server.RequestHandlerClass.service
@@ -959,7 +956,7 @@ def serve(
     bound_host, bound_port = server.server_address[:2]
     journal = service._queue.journal_path
     print(f"repro serve: listening on http://{bound_host}:{bound_port} "
-          f"(workers={workers}, jobs={jobs}, shards={shards}, "
+          f"(workers={workers}, jobs={jobs}, "
           f"timeout={run_timeout if run_timeout is not None else 'none'}, "
           f"cache={service.health()['cache'] or 'disabled'}, "
           f"queue={'persistent:' + journal if journal else 'memory'})")

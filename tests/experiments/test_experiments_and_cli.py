@@ -194,24 +194,31 @@ class TestCliErrorPaths:
             ["batch", "align", "12", "5", "--backend", "stdlib"],
             ["verify", "searching", "--k", "3", "--n", "6", "--engine", "packed"],
             ["serve", "--engine", "packed"],
+            ["verify", "gathering", "--k", "3", "--n", "6", "--shards", "2"],
+            ["serve", "--shards", "2"],
         ],
-        ids=["batch", "verify", "serve"],
+        ids=["batch", "verify", "serve", "verify-shards", "serve-shards"],
     )
     def test_engine_and_backend_are_not_options(self, argv, capsys):
-        # The checker picks its engine and the batch engine has one row
-        # storage; neither is a command-line choice.
+        # The checker picks its engine, the batch engine has one row
+        # storage and each model-checking cell runs serially; none of
+        # them is a command-line choice.
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(argv)
         assert excinfo.value.code == 2
         assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["batch", "verify", "serve"])
-    def test_help_lists_no_engine_or_backend(self, command, capsys):
+    @pytest.mark.parametrize(
+        "command,option",
+        [("batch", "--steps"), ("verify", "--max-states"), ("serve", "--workers")],
+        ids=["batch", "verify", "serve"],
+    )
+    def test_help_lists_no_engine_or_backend(self, command, option, capsys):
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args([command, "--help"])
         assert excinfo.value.code == 0
         usage = capsys.readouterr().out
-        assert "--shards" in usage or "--steps" in usage
+        assert option in usage
         assert "--engine" not in usage
         assert "--backend" not in usage
 

@@ -1,4 +1,4 @@
-"""Equivalence suite: packed == legacy == vector engines == sharded.
+"""Equivalence suite: packed == legacy == vector engines.
 
 The frontier engines are pure performance variants; these tests pin
 that claim down byte-for-byte:
@@ -10,19 +10,17 @@ that claim down byte-for-byte:
   NumPy-vectorized engine produces byte-identical verdict JSON (the
   three-way gate: vector == packed, packed == legacy), including the
   state-cap and algorithm-error paths;
-* a sharded exploration (``shards=4``) produces byte-identical results
-  and byte-identical verification-campaign summaries, on the packed
-  and the vector engine alike.
+* a cell checked in a campaign worker process (``jobs=2``) produces the
+  same verdict JSON as an in-process :func:`check_cell`, and a parallel
+  verification campaign writes byte-identical summaries.
 """
 
-import io
 import json
 
 import pytest
 
 from repro.algorithms.nminusthree import nminusthree_supported
 from repro.algorithms.ring_clearing import ring_clearing_supported
-from repro.cli import main
 from repro.context import ExecContext
 from repro.experiments.e8_verification import GAME_CELLS, MAX_STATES
 from repro.modelcheck import ModelChecker, check_cell, run_verify_campaign
@@ -142,51 +140,32 @@ class TestVectorEqualsPacked:
         assert vector.verdict is Verdict.ERROR
         assert _canonical_json(vector) == _canonical_json(packed)
 
-    def test_sharded_vector_byte_identical(self):
-        for task, k, n in [("searching", 6, 13), ("searching", 3, 6)]:
-            serial = check_cell(task, n, k, shards=1, engine="packed")
-            sharded_vector = check_cell(task, n, k, shards=4, engine="vector")
-            assert _canonical_json(serial) == _canonical_json(sharded_vector)
 
-
-class TestShardedEqualsSerial:
-    def test_sharded_cell_byte_identical(self):
-        for task, k, n in [("searching", 6, 13), ("gathering", 2, 6), ("searching", 3, 6)]:
-            serial = check_cell(task, n, k, shards=1)
-            sharded = check_cell(task, n, k, shards=4)
-            assert _canonical_json(serial) == _canonical_json(sharded)
-
-    def test_campaign_summaries_byte_identical(self):
-        cells = ((2, 6), (3, 6), (3, 7))
-        serial = run_verify_campaign("gathering", cells)
-        sharded = run_verify_campaign("gathering", cells, ExecContext(shards=4))
-        assert serial.summary_bytes() == sharded.summary_bytes()
-
-    def test_jobs_and_shards_are_mutually_exclusive(self):
-        with pytest.raises(ValueError):
-            run_verify_campaign("gathering", ((3, 6),), ExecContext(jobs=2, shards=2))
-
-    def test_cli_rejects_jobs_with_shards(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(
-                ["verify", "gathering", "--k", "3", "--n", "6", "--jobs", "2", "--shards", "2"],
-                out=io.StringIO(),
-            )
-        assert excinfo.value.code == 2
-        assert "--shards" in capsys.readouterr().err
-
-    def test_cli_shards_flag_runs(self):
-        out = io.StringIO()
-        assert (
-            main(["verify", "gathering", "--k", "3", "--n", "6", "--shards", "2"], out=out)
-            == 0
+class TestParallelEqualsSerial:
+    @pytest.mark.parametrize(
+        "task,k,n",
+        [("searching", 6, 13), ("gathering", 2, 6), ("searching", 3, 6)],
+        ids=["searching-6-13", "gathering-2-6", "searching-3-6"],
+    )
+    def test_campaign_cell_byte_identical_to_check_cell(self, task, k, n):
+        report = run_verify_campaign(task, ((k, n),), ExecContext(jobs=2))
+        (record,) = report.records
+        in_process = check_cell(task, n, k)
+        assert json.dumps(record["payload"]["result"], sort_keys=True) == _canonical_json(
+            in_process
         )
-        assert "solved" in out.getvalue()
 
-    def test_custom_spec_forces_serial_exploration(self):
+    def test_searching_campaign_summaries_byte_identical(self):
+        cells = ((3, 6), (3, 7), (6, 13))
+        serial = run_verify_campaign("searching", cells)
+        parallel = run_verify_campaign("searching", cells, ExecContext(jobs=2))
+        assert serial.summary_bytes() == parallel.summary_bytes()
+
+
+class TestCustomSpec:
+    def test_custom_spec_explores_and_is_solved(self):
         spec = make_task_spec("gathering", 6, 3)
-        checker = ModelChecker("gathering", 6, 3, spec=spec, shards=4)
-        assert checker.shards == 1
+        checker = ModelChecker("gathering", 6, 3, spec=spec)
         assert checker.run().verdict is Verdict.SOLVED
 
 

@@ -89,10 +89,11 @@ class TestExecuteParity:
 
 
 class TestExecutionContext:
-    @pytest.mark.parametrize("keyword", ["backend", "engine"])
+    @pytest.mark.parametrize("keyword", ["backend", "engine", "shards"])
     def test_engine_and_backend_are_not_execute_keywords(self, keyword):
-        # Neither is a knob: the batch engine has one row storage and the
-        # model checker picks its own frontier engine.
+        # None is a knob: the batch engine has one row storage, the model
+        # checker picks its own frontier engine and explores each cell
+        # serially.
         spec = BatchSweepSpec(algorithm="align", n=9, k=4, steps=20, seeds=(0,))
         with pytest.raises(TypeError, match=keyword):
             execute(spec, **{keyword: "stdlib"})

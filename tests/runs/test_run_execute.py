@@ -134,8 +134,8 @@ class TestContextIsNotIdentity:
     @pytest.mark.parametrize(
         "spec,context",
         [
-            (_VERIFY, lambda: ExecContext(shards=2)),
             (_VERIFY, lambda: ExecContext(jobs=2)),
+            (_VERIFY, lambda: ExecContext(timeout=120.0)),
             (
                 ExperimentSpec(name="e1", variant="quick"),
                 lambda: ExecContext(
@@ -147,7 +147,7 @@ class TestContextIsNotIdentity:
                 lambda: ExecContext(timeout=120.0),
             ),
         ],
-        ids=["verify-shards", "verify-jobs", "experiment-jobs-retry-metrics", "batch-timeout"],
+        ids=["verify-jobs", "verify-timeout", "experiment-jobs-retry-metrics", "batch-timeout"],
     )
     def test_same_run_id_cache_key_and_payload_bytes(self, spec, context, tmp_path):
         ctx = context()

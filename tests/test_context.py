@@ -11,21 +11,16 @@ from repro.context import ExecContext
 from repro.faults import FaultPlan
 from repro.runs import ResultCache
 
-#: The conflict message, shared verbatim by the library and the CLI.
-CONFLICT = "jobs and shards cannot both exceed 1"
-
 
 class TestValidation:
     @pytest.mark.parametrize(
         "fields,message",
         [
             ({"jobs": 0}, "jobs must be >= 1"),
-            ({"shards": 0}, "shards must be >= 1"),
-            ({"jobs": 2, "shards": 2}, CONFLICT),
             ({"timeout": 0}, "timeout must be > 0"),
             ({"timeout": -1}, "timeout must be > 0"),
         ],
-        ids=["jobs=0", "shards=0", "jobs+shards", "timeout=0", "timeout=-1"],
+        ids=["jobs=0", "timeout=0", "timeout=-1"],
     )
     def test_each_rule_raises_its_own_message(self, fields, message):
         with pytest.raises(ValueError, match=message):
@@ -33,12 +28,12 @@ class TestValidation:
 
     def test_defaults_are_valid(self):
         ctx = ExecContext()
-        assert (ctx.jobs, ctx.shards, ctx.timeout) == (1, 1, None)
+        assert (ctx.jobs, ctx.timeout) == (1, None)
         assert ctx.cache is None and ctx.store is None
 
     def test_replace_rechecks(self):
-        with pytest.raises(ValueError, match=CONFLICT):
-            dataclasses.replace(ExecContext(jobs=2), shards=2)
+        with pytest.raises(ValueError, match="timeout must be > 0"):
+            dataclasses.replace(ExecContext(jobs=2), timeout=0)
 
     def test_context_is_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -67,15 +62,19 @@ class TestPathResolution:
 
 class TestCommandLine:
     @pytest.mark.parametrize(
-        "argv",
+        "argv,message",
         [
-            ["verify", "gathering", "--k", "3", "--n", "6", "--jobs", "2", "--shards", "2"],
-            ["serve", "--port", "0", "--jobs", "2", "--shards", "2"],
+            (["verify", "gathering", "--k", "3", "--n", "6", "--jobs", "0"], "must be >= 1"),
+            (["serve", "--port", "0", "--jobs", "0"], "must be >= 1"),
+            (["verify", "gathering", "--k", "3", "--n", "6", "--timeout", "0"], "must be > 0"),
+            (["serve", "--port", "0", "--timeout", "0"], "must be > 0"),
         ],
-        ids=["verify", "serve"],
+        ids=["verify-jobs", "serve-jobs", "verify-timeout", "serve-timeout"],
     )
-    def test_jobs_with_shards_exits_2_with_the_context_message(self, argv, capsys):
+    def test_bad_knob_exits_2_naming_the_option(self, argv, message, capsys):
+        # The argument types enforce the context's rules, so a bad value
+        # is a usage error before any context is built.
         with pytest.raises(SystemExit) as excinfo:
             main(argv, out=io.StringIO())
         assert excinfo.value.code == 2
-        assert CONFLICT in capsys.readouterr().err
+        assert f"argument {argv[-2]}: {message}, got 0" in capsys.readouterr().err

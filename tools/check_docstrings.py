@@ -38,7 +38,9 @@ SRC_ROOT = os.path.join(
 GLOBAL_MIN = 0.90
 
 #: Packages whose public surface must be fully documented.
-STRICT_PACKAGES = ("runs", "modelcheck", "batchsim", "simulator", "model")
+STRICT_PACKAGES = (
+    "runs", "modelcheck", "batchsim", "simulator", "model", "campaign", "context"
+)
 
 
 def is_public(name: str) -> bool:
